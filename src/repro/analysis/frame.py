@@ -240,15 +240,17 @@ METRIC_FIELDS: Tuple[str, ...] = (
 )
 
 
-def flatten_record(record: object) -> Dict[str, object]:
+def flatten_record(record: object, keep_elapsed: bool = False) -> Dict[str, object]:
     """Flatten one result record into a single-level field dict.
 
     Accepts a :class:`~repro.engine.results.RunResult` (or anything with a
     ``to_dict``), a store payload dict with a nested ``"spec"``, or an
     already-flat mapping.  Spec fields and metric fields land in one
     namespace — ``workload``, ``organization``, ``ways``, … alongside
-    ``average_insertion_attempts`` & co.  The attempt histogram and
-    ``elapsed_seconds`` are dropped: they are not aggregatable columns.
+    ``average_insertion_attempts`` & co.  The attempt histogram is
+    dropped, and so is ``elapsed_seconds`` (host wall time, not a
+    simulated statistic) unless ``keep_elapsed`` asks for it — as the
+    store reports' cost columns do.
     """
     if hasattr(record, "to_dict"):
         record = record.to_dict()
@@ -261,7 +263,9 @@ def flatten_record(record: object) -> Dict[str, object]:
     if isinstance(spec, Mapping):
         flat.update(spec)
     for name, value in record.items():
-        if name in ("spec", "attempt_histogram", "elapsed_seconds"):
+        if name in ("spec", "attempt_histogram"):
+            continue
+        if name == "elapsed_seconds" and not keep_elapsed:
             continue
         flat[name] = value
     return flat
@@ -378,10 +382,13 @@ class SweepFrame:
                 )
             parsed[name] = (source, reduction)
 
+        keep_elapsed = any(
+            source == "elapsed_seconds" for source, _r in parsed.values()
+        )
         groups: Dict[Tuple[object, ...], Dict[str, object]] = {}
         order: List[Tuple[object, ...]] = []
         for record in records:
-            flat = flatten_record(record)
+            flat = flatten_record(record, keep_elapsed)
             if where is not None and not where(flat):
                 continue
             key = tuple(flat.get(field) for field in group_by)
@@ -450,7 +457,8 @@ class SweepFrame:
                 where=where,
             )
 
-        # flatten_record never exposes these, so neither may the fast path.
+        # Fields the columnar schema does not serve as flat columns (cost
+        # columns over elapsed_seconds stream through aggregate instead).
         unflattened = {"spec", "attempt_histogram", "elapsed_seconds"}
         needed = tuple(
             dict.fromkeys(
@@ -568,8 +576,9 @@ class SweepFrame:
         the size of the output, not of the raw records.
         """
         rows: List[Dict[str, object]] = []
+        keep_elapsed = fields is not None and "elapsed_seconds" in fields
         for record in records:
-            flat = flatten_record(record)
+            flat = flatten_record(record, keep_elapsed)
             if where is not None and not where(flat):
                 continue
             if fields is None:

@@ -64,9 +64,15 @@ from repro.coherence.messages import (
     TrafficStats,
 )
 from repro.coherence.paging import PageMapper
-from repro.core.cuckoo_hash import _INDICES_CACHE_LIMIT
-from repro.directories.base import Directory, DirectoryStats, Invalidation, UpdateResult
+from repro.directories.base import (
+    Directory,
+    DirectoryStats,
+    DrainHandles,
+    Invalidation,
+    UpdateResult,
+)
 from repro.directories.sharers import FullBitVector
+from repro.obs.logging import get_logger
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.tracing import TRACER as _TRACER
 
@@ -134,12 +140,17 @@ _DRAIN_CLS_WRITE_MISS = _obs_counter(
 )
 _DRAIN_CLS_WALKS = _obs_counter(
     "sim.drain.class_walks",
-    help="insertions that needed a displacement walk (scalar by design)",
+    help="insertions with no vacant candidate (cuckoo walks, LRU victims)",
 )
 _DRAIN_REINJECTED = _obs_counter(
     "sim.drain.reinjected",
     help="rolled-back kernel hits replayed through the drain",
 )
+_DRAIN_REFUSED = _obs_counter(
+    "sim.drain.vector_refused",
+    help="systems the vectorized drain refused (reason logged once each)",
+)
+_LOG = get_logger("repro.coherence.system")
 
 #: Minimum drained-access count for the vectorized drain pipeline: below
 #: this the pre-pass (batch hashing, hop gathers, list materialisation)
@@ -282,9 +293,10 @@ class TiledCMP:
         self._hop_matrix = np.asarray(self._hop_table, dtype=np.int64)
         # Vectorized-drain support decision, resolved lazily on the first
         # drained chunk (see _drain_vector_config): None = unresolved,
-        # False = unsupported, else the shared-or-per-slice hash family
-        # marker tuple.
+        # False = unsupported (reason in _drain_vector_refusal), else the
+        # shared-batch-key marker tuple.
         self._drain_vector_support: object = None
+        self._drain_vector_refusal: Optional[str] = None
         # Whole-chunk kernel selection (see DEFAULT_BATCH_KERNEL).  The
         # vector kernel needs inline-LRU recency in every cache it stamps;
         # a custom replacement policy silently drops back to the scalar
@@ -769,12 +781,12 @@ class TiledCMP:
         drained = int(drain_idx.size)
         _BATCH_DRAINED.add(drained)
         if drained:
-            # Drain pipeline selection: the vectorized drain needs the
-            # inlined-directory fast path (every slice a plain Cuckoo
-            # directory with full-bit-vector sharers) and enough drained
-            # accesses to amortise its pre-pass; anything else — sparse /
-            # stash / rich-sharer organizations, tiny drains — takes the
-            # scalar fallback.  Both emit their own span so --profile
+            # Drain pipeline selection: the vectorized drain needs drain
+            # handles on every slice (cuckoo or sparse directories with
+            # full-bit-vector sharers) and enough drained accesses to
+            # amortise its pre-pass; anything else — stash / skewed /
+            # rich-sharer organizations, tiny drains — takes the scalar
+            # fallback.  Both emit their own span so --profile
             # shows where drain time goes.
             vector_config = (
                 self._drain_vector_config()
@@ -805,39 +817,63 @@ class TiledCMP:
         """Support decision for the vectorized drain, resolved once.
 
         Returns ``None`` when ``DEFAULT_DRAIN_PIPELINE`` is ``"scalar"``
-        or any slice lacks the inlined-directory drain handles
-        (non-cuckoo organizations, stash variants, rich sharer
-        encodings), else a one-element tuple holding the hash family
-        shared by every slice — or ``None`` inside the tuple when the
-        slices hash differently and the pre-pass must group by home.
-        The directories never change after construction, so the decision
-        is cached; the per-chunk state (stats objects, table arrays) is
-        re-fetched from ``drain_handles`` on every drained chunk.
+        or any slice has no drain handles (:class:`~repro.directories.
+        base.DrainHandles`: stash variants, skewed and tagless
+        organizations, sharer encodings other than the full bit vector),
+        else a one-element tuple: whether every slice reports the same
+        ``batch_key``, so the candidate-row pre-pass runs once over the
+        whole chunk instead of once per home.  A refusal's reason is kept
+        in :attr:`drain_vector_refusal`, counted as
+        ``sim.drain.vector_refused`` and logged, once per system.  The
+        directories never change after construction, so the decision is
+        cached; the handles themselves (stats objects are replaced by
+        ``reset_stats``) are re-fetched on every drained chunk.
         """
         support = self._drain_vector_support
         if support is None:
-            support = False
-            supported = DEFAULT_DRAIN_PIPELINE != "scalar"
-            for directory in self._directories:
-                getter = getattr(directory, "drain_handles", None)
-                if getter is None or getter() is None:
-                    supported = False
-                    break
-            if supported:
-                families = [
-                    directory.table.hash_family
-                    for directory in self._directories
-                ]
-                keys = [family.batch_key() for family in families]
-                shared = (
-                    families[0]
-                    if keys[0] is not None
-                    and all(key == keys[0] for key in keys)
-                    else None
+            reason = self._drain_refusal_reason()
+            if reason is None:
+                keys = [bundle.batch_key for bundle in self._drain_bundles()]
+                support = (
+                    keys[0] is not None and all(key == keys[0] for key in keys),
                 )
-                support = (shared,)
+            else:
+                support = False
+                self._drain_vector_refusal = reason
+                _DRAIN_REFUSED.inc()
+                _LOG.info("vectorized drain refused: %s", reason)
             self._drain_vector_support = support
         return support or None
+
+    def _drain_refusal_reason(self) -> Optional[str]:
+        """Why the vectorized drain cannot serve this system, or ``None``."""
+        if DEFAULT_DRAIN_PIPELINE == "scalar":
+            return "DEFAULT_DRAIN_PIPELINE is 'scalar'"
+        for slice_id, directory in enumerate(self._directories):
+            getter = getattr(directory, "drain_handles", None)
+            if getter is not None and getter() is not None:
+                continue
+            sharer_cls = getattr(directory, "_sharer_cls", FullBitVector)
+            if sharer_cls is not FullBitVector:
+                return f"slice {slice_id}: sharer encoding {sharer_cls.__name__}"
+            return f"slice {slice_id}: {type(directory).__name__} has no drain handles"
+        return None
+
+    @property
+    def drain_vector_refusal(self) -> Optional[str]:
+        """Why the vectorized drain was refused (``None`` unless refused)."""
+        return self._drain_vector_refusal
+
+    def _drain_bundles(self) -> Optional[List[DrainHandles]]:
+        """Every slice's drain handles, or ``None`` if any slice has none."""
+        bundles = []
+        for directory in self._directories:
+            getter = getattr(directory, "drain_handles", None)
+            bundle = getter() if getter is not None else None
+            if bundle is None:
+                return None
+            bundles.append(bundle)
+        return bundles
 
     def _drain_batch(
         self,
@@ -944,45 +980,32 @@ class TiledCMP:
             bank_evict_delta = [0] * num_banks
             bank_dirty_evict_delta = [0] * num_banks
 
-        # Inlined-directory fast path: when every slice is a plain Cuckoo
-        # directory with full-bit-vector sharers, the drain manipulates the
-        # cuckoo tables' locator/way arrays and the sharer masks directly
-        # (see CuckooDirectory.drain_handles) and flushes statistics once
-        # per chunk.  Any other organization keeps the method-call path.
+        # Inlined-directory fast path: when every slice exposes drain
+        # handles (DrainHandles), the drain manipulates the slots and the
+        # sharer masks directly and flushes statistics once per chunk;
+        # only insertion calls back into the organization.  Any other
+        # organization keeps the method-call path.
         num_homes = len(directories)
-        bundles: Optional[list] = []
-        for directory in directories:
-            getter = getattr(directory, "drain_handles", None)
-            bundle = getter() if getter is not None else None
-            if bundle is None:
-                bundles = None
-                break
-            bundles.append(bundle)
+        bundles = self._drain_bundles()
         fast = bundles is not None
         if fast:
-            first_dir = directories[0]
-            dir_lookup_bits = first_dir._lookup_tag_bits
-            dir_payload_bits = first_dir._payload_bits
-            dir_entry_bits = first_dir._entry_bits
-            dir_caches = first_dir._num_caches
-            d_table = [b[0] for b in bundles]
-            d_loc = [b[1] for b in bundles]
-            d_keys = [b[2] for b in bundles]
-            d_val = [b[3] for b in bundles]
-            d_wo = [b[4] for b in bundles]
-            d_pool = [b[5] for b in bundles]
-            d_stats = [b[6] for b in bundles]
-            d_ic = [table._indices_cache for table in d_table]
+            d_loc = [b.locator for b in bundles]
+            d_keys = [b.keys for b in bundles]
+            d_val = [b.values for b in bundles]
+            d_stamps = [b.stamps for b in bundles]
+            d_tick = [b.tick for b in bundles]
+            d_pool = [b.sharer_pool for b in bundles]
+            d_ins = [b.insert for b in bundles]
             # Chunk-local directory counters, one per slice, flushed at the
             # end: lookups / hits, single-attempt insertions, sharer
-            # additions / removals, entry removals, invalidate-all
-            # operations, and table-size delta.  Misses and the bit
-            # read/write totals are linear in these (misses = lookups −
-            # hits; every lookup reads the way tags, every hit reads and
-            # every sharer add/remove writes one payload, every
-            # single-attempt insertion writes one entry), so they are
-            # derived at flush instead of accumulated per operation; only
-            # a displacement walk writes its entry bits directly.
+            # additions / removals, entry removals and invalidate-all
+            # operations.  Misses and the bit read/write totals are linear
+            # in these (misses = lookups − hits; every lookup reads the
+            # way tags, every hit reads and every sharer add/remove writes
+            # one payload, every single-attempt insertion writes one
+            # entry), so they are derived at flush instead of accumulated
+            # per operation; walks and victimising insertions record their
+            # own statistics.
             a_lk = [0] * num_homes
             a_lh = [0] * num_homes
             a_i1 = [0] * num_homes
@@ -990,7 +1013,6 @@ class TiledCMP:
             a_sr = [0] * num_homes
             a_er = [0] * num_homes
             a_io = [0] * num_homes
-            a_sz = [0] * num_homes
         # Chunk-local message counters (flushed into traffic.messages once).
         n_getS = n_getM = n_data = n_inv = n_ack = 0
         n_putM = n_putS = n_fwd = 0
@@ -1072,61 +1094,26 @@ class TiledCMP:
                     record(_INV_ACK, core_of[sharer], victim_home)
 
         def insert_new(home: int, local_addr: int, mask: int) -> None:
-            # Inlined CuckooDirectory._insert_new_entry: pooled sharer set,
-            # vacant-candidate placement without the insert_absent call.
-            # The displacement walk (and its forced-invalidation tail)
-            # stays a call — it is the rare case by construction.
+            # A pooled sharer set, then the organization's insert step
+            # (DrainHandles.insert): a vacant placement is accounted here,
+            # a walk or victimisation accounts itself.
             pool = d_pool[home]
             if pool:
                 sharer_set = pool.pop()
             else:
-                sharer_set = FullBitVector(dir_caches)
+                sharer_set = FullBitVector(num_tracked)
             sharer_set._mask = mask
-            table = d_table[home]
-            indices = d_ic[home].get(local_addr)
-            if indices is None:
-                indices = table._indices_of(local_addr)
-            keys_h = d_keys[home]
-            for way in d_wo[home][table._start_way]:
-                idx = indices[way]
-                if keys_h[way][idx] == -1:
-                    keys_h[way][idx] = local_addr
-                    d_val[home][way][idx] = sharer_set
-                    d_loc[home][local_addr] = (way, idx)
-                    table._start_way = way
-                    a_sz[home] += 1
-                    a_i1[home] += 1
-                    return
-            insert_walk(home, table, local_addr, sharer_set, indices)
-
-        def insert_walk(
-            home: int, table, local_addr: int, sharer_set, indices
-        ) -> None:
-            # Displacement walk (no vacant candidate): insert_absent plus
-            # direct stats — multi-attempt insertions are too rare for the
-            # chunk-local accumulators to matter, and the forced-
-            # invalidation tail must see the stats up to date anyway.
-            result = table.insert_absent(local_addr, sharer_set, indices)
-            stats = d_stats[home]
-            attempts = result.attempts
-            stats.insertions += 1
-            stats.insertion_attempts += attempts
-            stats.attempt_histogram[attempts] += 1
-            stats.bits_written += attempts * dir_entry_bits
-            if result.evicted:
-                invalidation = Invalidation(
-                    address=result.evicted_key,
-                    caches=result.evicted_value.sharers(),
-                )
-                stats.forced_invalidations += 1
-                stats.forced_invalidation_messages += invalidation.num_messages
-                apply_forced((invalidation,), home)
+            forced = d_ins[home](local_addr, sharer_set, None)
+            if forced is None:
+                a_i1[home] += 1
+            elif forced:
+                apply_forced(forced, home)
 
         def acquire_excl(
             local_addr: int, home: int, block: int, cache_id: int,
             reinjected: bool,
         ) -> None:
-            # Inlined CuckooDirectory.acquire_exclusive plus the drain's
+            # Inlined acquire_exclusive plus the drain's
             # per-invalidated-sharer traffic/rollback handling.
             nonlocal hops_acc, bytes_acc, n_inv, n_ack
             a_lk[home] += 1
@@ -1140,6 +1127,8 @@ class TiledCMP:
             sharer_set = d_val[home][way][idx]
             prior = sharer_set._mask
             a_sa[home] += 1
+            if d_stamps[home] is not None:
+                d_stamps[home][way][idx] = d_tick[home]()
             others = prior & ~wbit
             if not others:
                 sharer_set._mask = prior | wbit
@@ -1311,8 +1300,8 @@ class TiledCMP:
                     hops_acc += hop_row[home]
                     bytes_acc += _GET_SHARED_BYTES
                 if fast:
-                    # Inlined CuckooDirectory.lookup_add plus the drain's
-                    # M/E-owner downgrade scan over the prior-sharer mask.
+                    # Inlined lookup_add plus the drain's M/E-owner
+                    # downgrade scan over the prior-sharer mask.
                     a_lk[home] += 1
                     loc = d_loc[home].get(local_addr)
                     if loc is not None:
@@ -1323,6 +1312,8 @@ class TiledCMP:
                         wbit = 1 << cache_id
                         sharer_set._mask = prior | wbit
                         a_sa[home] += 1
+                        if d_stamps[home] is not None:
+                            d_stamps[home][way][idx] = d_tick[home]()
                         remaining = prior & ~wbit
                         while remaining:
                             low = remaining & -remaining
@@ -1347,34 +1338,8 @@ class TiledCMP:
                         new_state = STATE_SHARED
                     else:
                         # Directory miss on a read: allocate the entry with
-                        # this cache as the sole (Exclusive) sharer — the
-                        # vacant-candidate placement of insert_new, inlined
-                        # at the hottest insertion site.
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = FullBitVector(dir_caches)
-                        sharer_set._mask = 1 << cache_id
-                        table = d_table[home]
-                        indices = d_ic[home].get(local_addr)
-                        if indices is None:
-                            indices = table._indices_of(local_addr)
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][table._start_way]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                table._start_way = way
-                                a_sz[home] += 1
-                                a_i1[home] += 1
-                                break
-                        else:
-                            insert_walk(
-                                home, table, local_addr, sharer_set, indices
-                            )
+                        # this cache as the sole (Exclusive) sharer.
+                        insert_new(home, local_addr, 1 << cache_id)
                         new_state = STATE_EXCLUSIVE
                 else:
                     entry_found, prior_sharers, result = directories[
@@ -1452,7 +1417,7 @@ class TiledCMP:
                         n_putS += 1
                         bytes_acc += _PUT_SHARED_BYTES
                 if fast:
-                    # Inlined CuckooDirectory.remove_sharer (evict notify).
+                    # Inlined remove_sharer (evict notify).
                     victim_local = victim // num_slices
                     loc = d_loc[victim_home].get(victim_local)
                     if loc is not None:
@@ -1465,7 +1430,6 @@ class TiledCMP:
                             del d_loc[victim_home][victim_local]
                             d_keys[victim_home][way][idx] = -1
                             d_val[victim_home][way][idx] = None
-                            a_sz[victim_home] -= 1
                             a_er[victim_home] += 1
                             d_pool[victim_home].append(sharer_set)
                 else:
@@ -1504,7 +1468,9 @@ class TiledCMP:
                     lh = a_lh[home]
                     sa = a_sa[home]
                     i1 = a_i1[home]
-                    stats = d_stats[home]
+                    bundle = bundles[home]
+                    payload_bits = bundle.payload_bits
+                    stats = bundle.stats
                     stats.lookups += lk
                     stats.lookup_hits += lh
                     stats.lookup_misses += lk - lh
@@ -1513,17 +1479,15 @@ class TiledCMP:
                     stats.entry_removals += a_er[home]
                     stats.invalidate_all_operations += a_io[home]
                     stats.bits_read += (
-                        lk * dir_lookup_bits + lh * dir_payload_bits
+                        lk * bundle.lookup_bits + lh * payload_bits
                     )
                     stats.bits_written += (
-                        (sa + sr) * dir_payload_bits + i1 * dir_entry_bits
+                        (sa + sr) * payload_bits + i1 * bundle.entry_bits
                     )
                     if i1:
                         stats.insertions += i1
                         stats.insertion_attempts += i1
                         stats.attempt_histogram[1] += i1
-                    if a_sz[home]:
-                        d_table[home]._size += a_sz[home]
         if track:
             if n_getS:
                 messages[_GET_SHARED] += n_getS
@@ -1566,12 +1530,13 @@ class TiledCMP:
         function, no hop table, no bank model and almost no traffic or
         statistics bookkeeping:
 
-        * **Batch hashing.**  Every drained block's slice-local address is
-          hashed across all directory ways in one vectorized call
-          (``HashFamily.batch_indices``) — one call for the whole chunk
-          when every slice shares a hash family, else one per home group.
-          The insert path then reads precomputed candidate rows instead
-          of probing the per-table indices cache.
+        * **Candidate rows.**  Every drained block's slice-local address
+          gets its insertion row in one vectorized call
+          (``DrainHandles.candidate_rows``: the hash family's
+          ``batch_indices`` for cuckoo, ``local % num_sets`` for sparse)
+          — one call for the whole chunk when every slice reports the
+          same batch key, else one per home group.  The insert step then
+          reads the precomputed row instead of hashing per access.
         * **All-miss accounting.**  Traffic (request + response hops,
           message counts, bytes), per-home directory lookups and per-cache
           miss counts are computed vectorized under the assumption that
@@ -1584,6 +1549,16 @@ class TiledCMP:
           updates are recorded as ``(block, home, write)`` events in trace
           order and replayed in a dedicated pass after the protocol loop.
 
+        Every organization with drain handles (:class:`~repro.directories.
+        base.DrainHandles`: the cuckoo and set-associative directories)
+        runs this one loop.  Probes, sharer-mask updates, owner
+        downgrades, invalidation fan-out and entry removals are inline
+        over the handles' ``locator`` / ``keys`` / ``values`` slots, plus
+        an LRU re-stamp on directory hits for organizations that keep
+        recency; only the insertion of an absent entry dispatches to the
+        organization's ``insert`` step, which receives the pre-pass
+        candidate row (cuckoo: per-way hash indices; sparse: the set).
+
         Trace order is preserved throughout — conflicting accesses
         (same block, same (cache, set), same directory slot) simply
         execute in their original relative order, which makes the
@@ -1591,13 +1566,13 @@ class TiledCMP:
         re-injection machinery for forced invalidations carries over
         unchanged: re-injected accesses are rare by construction and
         replay through the scalar ``process_one`` closure (full live
-        accounting, live hashing and hop lookups) at their exact trace
-        position.  Displacement walks, forced invalidations and write
-        upgrades with remote sharers stay on the scalar helper paths by
-        construction; stash variants and rich sharer encodings never
-        reach this method (:meth:`_drain_vector_config`).
+        accounting, live candidate rows and hop lookups) at their exact
+        trace position.  Insertions without a vacant slot (cuckoo walks,
+        LRU victims) and write upgrades with remote sharers stay on the
+        helper paths by construction; organizations without drain
+        handles never reach this method (:meth:`_drain_vector_config`).
         """
-        (shared_family,) = vector_config
+        (shared_rows,) = vector_config
         # Module-level protocol constants rebound as locals: the loop
         # below reads them on every access, and LOAD_FAST beats the
         # global lookup by enough to matter at this iteration count.
@@ -1644,31 +1619,18 @@ class TiledCMP:
         use_banks = banks is not None
 
         num_homes = len(directories)
-        bundles = [directory.drain_handles() for directory in directories]
-        first_dir = directories[0]
-        dir_lookup_bits = first_dir._lookup_tag_bits
-        dir_payload_bits = first_dir._payload_bits
-        dir_entry_bits = first_dir._entry_bits
-        dir_caches = first_dir._num_caches
-        d_table = [b[0] for b in bundles]
-        d_loc = [b[1] for b in bundles]
-        d_keys = [b[2] for b in bundles]
-        d_val = [b[3] for b in bundles]
-        d_wo = [b[4] for b in bundles]
-        d_pool = [b[5] for b in bundles]
-        d_stats = [b[6] for b in bundles]
-        d_ic = [table._indices_cache for table in d_table]
-        ic_limit = _INDICES_CACHE_LIMIT
+        bundles = self._drain_bundles()
+        d_loc = [b.locator for b in bundles]
+        d_keys = [b.keys for b in bundles]
+        d_val = [b.values for b in bundles]
+        d_stamps = [b.stamps for b in bundles]
+        d_tick = [b.tick for b in bundles]
+        d_pool = [b.sharer_pool for b in bundles]
+        d_ins = [b.insert for b in bundles]
         d_loc_get = [locator.get for locator in d_loc]
-        # Shadowed round-robin insertion cursor, written back at flush
-        # (resynced after a displacement walk, which rotates it inside
-        # the table).
-        d_sw = [table._start_way for table in d_table]
-        # Two counters are derived at flush instead of tracked in-loop:
-        # sharer additions equal lookup hits (every drain path that finds
-        # an entry adds a sharer bit), and the table-size delta equals
-        # vacant-slot inserts minus entry removals (walks maintain
-        # ``table._size`` themselves via ``insert_absent``).
+        # Sharer additions are derived at flush instead of tracked
+        # in-loop: they equal lookup hits (every drain path that finds an
+        # entry adds a sharer bit).
         a_lh = [0] * num_homes
         a_i1 = [0] * num_homes
         a_sr = [0] * num_homes
@@ -1702,9 +1664,10 @@ class TiledCMP:
         ds = d_sets_a.tolist()
         dbase = (d_sets_a * num_ways).tolist()
         dst = stamps_a[drain_idx].tolist()
-        # (1) Batch-hash the drained slice-local addresses across all ways.
-        if shared_family is not None:
-            cand_rows: List = shared_family.batch_indices(d_local_a)
+        # (1) Candidate insertion rows of every drained slice-local address
+        # (batch hashing across all ways for cuckoo, the set for sparse).
+        if shared_rows:
+            cand_rows: List = bundles[0].candidate_rows(d_local_a)
         else:
             cand_rows = [None] * count
             order = np.argsort(d_home_a, kind="stable")
@@ -1712,9 +1675,7 @@ class TiledCMP:
             boundaries = np.flatnonzero(np.diff(sorted_homes)) + 1
             for group in np.split(order, boundaries):
                 home_g = int(d_home_a[group[0]])
-                rows = directories[home_g].table.hash_family.batch_indices(
-                    d_local_a[group]
-                )
+                rows = bundles[home_g].candidate_rows(d_local_a[group])
                 for offset, member in enumerate(group.tolist()):
                     cand_rows[member] = rows[offset]
         # (2) Gather request/response hop counts for the whole chunk.
@@ -1810,77 +1771,48 @@ class TiledCMP:
                     tracked[sharer].invalidate(victim_block)
                     record(_INV_ACK, core_of[sharer], victim_home)
 
-        def insert_new(home: int, local_addr: int, mask: int, indices) -> None:
-            # Vacant-candidate placement with precomputed candidate rows
-            # (``indices`` is None only for re-injected accesses).
+        def insert_new(home: int, local_addr: int, mask: int, row) -> None:
+            # A pooled sharer set, then the organization's insert step
+            # with the pre-pass candidate row (None only for re-injected
+            # accesses): a vacant placement is accounted here, a walk or
+            # LRU victimisation accounts itself and reports its forced
+            # invalidation.  The two hot insertion sites of the loop
+            # below inline this.
             pool = d_pool[home]
             if pool:
                 sharer_set = pool.pop()
             else:
-                sharer_set = bitvec_cls(dir_caches)
+                sharer_set = bitvec_cls(num_tracked)
             sharer_set._mask = mask
-            if indices is None:
-                indices = d_ic[home].get(local_addr)
-                if indices is None:
-                    indices = d_table[home]._indices_of(local_addr)
+            forced = d_ins[home](local_addr, sharer_set, row)
+            if forced is None:
+                a_i1[home] += 1
             else:
-                # Seed the table's per-key indices cache: a later
-                # displacement walk that evicts this key re-hashes it
-                # scalar unless the batch-computed row is cached.
-                ic = d_ic[home]
-                if len(ic) < ic_limit:
-                    ic[local_addr] = indices
-            keys_h = d_keys[home]
-            for way in d_wo[home][d_sw[home]]:
-                idx = indices[way]
-                if keys_h[way][idx] == -1:
-                    keys_h[way][idx] = local_addr
-                    d_val[home][way][idx] = sharer_set
-                    d_loc[home][local_addr] = (way, idx)
-                    d_sw[home] = way
-                    a_i1[home] += 1
-                    return
-            insert_walk(home, local_addr, sharer_set, indices)
+                insert_forced(home, forced)
 
-        def insert_walk(home: int, local_addr: int, sharer_set, indices) -> None:
-            # Displacement walk: insert_absent plus direct stats; resync
-            # the start-way shadow the walk rotated inside the table.
+        def insert_forced(home: int, forced: tuple) -> None:
             nonlocal n_walk
             n_walk += 1
-            table = d_table[home]
-            table._start_way = d_sw[home]
-            result = table.insert_absent(local_addr, sharer_set, indices)
-            d_sw[home] = table._start_way
-            stats = d_stats[home]
-            attempts = result.attempts
-            stats.insertions += 1
-            stats.insertion_attempts += attempts
-            stats.attempt_histogram[attempts] += 1
-            stats.bits_written += attempts * dir_entry_bits
-            if result.evicted:
-                invalidation = Invalidation(
-                    address=result.evicted_key,
-                    caches=result.evicted_value.sharers(),
-                )
-                stats.forced_invalidations += 1
-                stats.forced_invalidation_messages += invalidation.num_messages
-                apply_forced((invalidation,), home)
+            if forced:
+                apply_forced(forced, home)
 
         def acquire_excl(
             local_addr: int, home: int, block: int, cache_id: int,
-            reinjected: bool, indices,
+            reinjected: bool, row,
         ) -> None:
-            # Inlined CuckooDirectory.acquire_exclusive, *without* the
-            # lookup count: the all-miss baseline (or the re-injected
-            # caller) already accounts the lookup.
+            # Inlined acquire_exclusive, *without* the lookup count: the
+            # all-miss baseline (or the re-injected caller) already
+            # accounts the lookup.
             nonlocal hops_acc, bytes_acc, n_inv, n_ack
             wbit = 1 << cache_id
             loc = d_loc[home].get(local_addr)
             if loc is None:
-                insert_new(home, local_addr, wbit, indices)
+                insert_new(home, local_addr, wbit, row)
                 return
             a_lh[home] += 1
             way, idx = loc
+            if d_stamps[home] is not None:
+                d_stamps[home][way][idx] = d_tick[home]()
             sharer_set = d_val[home][way][idx]
             prior = sharer_set._mask
             others = prior & ~wbit
@@ -1979,6 +1911,8 @@ class TiledCMP:
                     n_rdh += 1
                     a_lh[home] += 1
                     way, idx = loc
+                    if d_stamps[home] is not None:
+                        d_stamps[home][way][idx] = d_tick[home]()
                     sharer_set = d_val[home][way][idx]
                     prior = sharer_set._mask
                     wbit = 1 << cache_id
@@ -2075,7 +2009,7 @@ class TiledCMP:
         # fresh 11-tuple per access.
         for (
             pos, block, local_addr, home, cache_id, is_write,
-            set_index, base, stamp, hsum, indices,
+            set_index, base, stamp, hsum, row,
         ) in zip(dp, db, dl, dh, dc, dw, ds, dbase, dst, h_sum, cand_rows):
             if pending:
                 cur = pos
@@ -2090,9 +2024,8 @@ class TiledCMP:
                 if use_banks:
                     ev_app[home](block << 1 | is_write)
                 if is_write:
-                    # Inlined acquire_excl (the two common cases: absent
-                    # entry with a vacant candidate, or already-present
-                    # sharer sets); conflicts fall back to the closure.
+                    # Inlined acquire_excl: insertion of an absent entry,
+                    # or the writer's bit plus the invalidation fan-out.
                     wbit = 1 << cache_id
                     loc = d_loc_get[home](local_addr)
                     if loc is None:
@@ -2100,26 +2033,18 @@ class TiledCMP:
                         if pool:
                             sharer_set = pool.pop()
                         else:
-                            sharer_set = bitvec_cls(dir_caches)
+                            sharer_set = bitvec_cls(num_tracked)
                         sharer_set._mask = wbit
-                        ic = d_ic[home]
-                        if len(ic) < ic_limit:
-                            ic[local_addr] = indices
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][d_sw[home]]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                d_sw[home] = way
-                                a_i1[home] += 1
-                                break
+                        forced = d_ins[home](local_addr, sharer_set, row)
+                        if forced is None:
+                            a_i1[home] += 1
                         else:
-                            insert_walk(home, local_addr, sharer_set, indices)
+                            insert_forced(home, forced)
                     else:
                         a_lh[home] += 1
                         way, idx = loc
+                        if d_stamps[home] is not None:
+                            d_stamps[home][way][idx] = d_tick[home]()
                         sharer_set = d_val[home][way][idx]
                         prior = sharer_set._mask
                         others = prior & ~wbit
@@ -2152,6 +2077,8 @@ class TiledCMP:
                         n_rdh += 1
                         a_lh[home] += 1
                         way, idx = loc
+                        if d_stamps[home] is not None:
+                            d_stamps[home][way][idx] = d_tick[home]()
                         sharer_set = d_val[home][way][idx]
                         prior = sharer_set._mask
                         wbit = 1 << cache_id
@@ -2187,23 +2114,13 @@ class TiledCMP:
                         if pool:
                             sharer_set = pool.pop()
                         else:
-                            sharer_set = bitvec_cls(dir_caches)
+                            sharer_set = bitvec_cls(num_tracked)
                         sharer_set._mask = 1 << cache_id
-                        ic = d_ic[home]
-                        if len(ic) < ic_limit:
-                            ic[local_addr] = indices
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][d_sw[home]]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                d_sw[home] = way
-                                a_i1[home] += 1
-                                break
+                        forced = d_ins[home](local_addr, sharer_set, row)
+                        if forced is None:
+                            a_i1[home] += 1
                         else:
-                            insert_walk(home, local_addr, sharer_set, indices)
+                            insert_forced(home, forced)
                         new_state = state_e
                     fill_dirty = False
 
@@ -2286,7 +2203,7 @@ class TiledCMP:
                     s_up += 1
                     hops_corr += hop_table[home][core_of[cache_id]]
                     acquire_excl(
-                        local_addr, home, block, cache_id, False, indices
+                        local_addr, home, block, cache_id, False, row
                     )
                     states[frame] = state_m
             else:
@@ -2358,35 +2275,29 @@ class TiledCMP:
                 stats.evictions += evict_delta[cache_id]
                 stats.dirty_evictions += dirty_evict_delta[cache_id]
         for home in range(num_homes):
-            table = d_table[home]
-            if table._start_way != d_sw[home]:
-                table._start_way = d_sw[home]
             lk = a_lk[home]
             sr = a_sr[home]
             if lk or sr:
                 lh = a_lh[home]
-                er = a_er[home]
                 i1 = a_i1[home]
-                stats = d_stats[home]
+                bundle = bundles[home]
+                payload_bits = bundle.payload_bits
+                stats = bundle.stats
                 stats.lookups += lk
                 stats.lookup_hits += lh
                 stats.lookup_misses += lk - lh
                 stats.sharer_additions += lh
                 stats.sharer_removals += sr
-                stats.entry_removals += er
+                stats.entry_removals += a_er[home]
                 stats.invalidate_all_operations += a_io[home]
-                stats.bits_read += (
-                    lk * dir_lookup_bits + lh * dir_payload_bits
-                )
+                stats.bits_read += lk * bundle.lookup_bits + lh * payload_bits
                 stats.bits_written += (
-                    (lh + sr) * dir_payload_bits + i1 * dir_entry_bits
+                    (lh + sr) * payload_bits + i1 * bundle.entry_bits
                 )
                 if i1:
                     stats.insertions += i1
                     stats.insertion_attempts += i1
                     stats.attempt_histogram[1] += i1
-                if i1 != er:
-                    table._size += i1 - er
         if track:
             n_getS += reads_total - rh
             n_getM += writes_total - cw

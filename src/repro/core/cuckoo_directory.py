@@ -20,13 +20,18 @@ Statistics follow the paper's accounting rules (Section 5.2):
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Optional, Tuple, Type
 
-from repro.core.cuckoo_hash import CuckooHashTable, InsertOutcome
+from repro.core.cuckoo_hash import (
+    _INDICES_CACHE_LIMIT,
+    CuckooHashTable,
+    InsertOutcome,
+)
 from repro.directories.base import (
     LOOKUP_MISS,
     SHARERS_UPDATED,
     Directory,
+    DrainHandles,
     Invalidation,
     LookupResult,
     UpdateResult,
@@ -247,31 +252,82 @@ class CuckooDirectory(Directory):
             )
         return self._insert_results[attempts]
 
-    def drain_handles(self) -> Optional[tuple]:
-        """Internal-state bundle for the batched drain's inlined directory ops.
+    def _insert_absent(
+        self, address: int, sharers: SharerSet, indices
+    ) -> Optional[Tuple[Invalidation, ...]]:
+        """The drain-handle insert step (see :class:`DrainHandles`).
 
-        The whole-chunk kernel's miss drain (``TiledCMP._drain_batch``)
-        inlines ``lookup_add``/``acquire_exclusive``/``remove_sharer`` over
-        these structures, manipulating the cuckoo table's locator/way arrays
-        and the sharer bit masks directly and flushing the statistics once
-        per chunk — bit-identical to the method calls, minus the per-access
-        call overhead.  Only the plain full-bit-vector encoding on the exact
-        base class qualifies: subclasses (the stashed variant) and richer
-        sharer encodings override operation semantics the inlined sequences
-        do not reproduce, so they return ``None`` and keep the method-call
-        path.
+        Places ``address`` at its first vacant candidate (returning
+        ``None``: the caller accounts the single attempt), else runs the
+        displacement walk, records its statistics and returns the forced
+        invalidation of a cut-off walk (``()`` when the walk found room).
+        ``indices`` are the address's precomputed candidate rows, seeded
+        into the table's indices cache so a later walk that displaces this
+        entry does not re-hash it.
+        """
+        table = self._table
+        if indices is None:
+            indices = table._indices_of(address)
+        else:
+            cache = table._indices_cache
+            if len(cache) < _INDICES_CACHE_LIMIT:
+                cache[address] = indices
+        # The vacant-candidate scan of insert_absent, without its call.
+        keys = table._keys
+        for way in table._way_orders[table._start_way]:
+            index = indices[way]
+            if keys[way][index] == -1:
+                keys[way][index] = address
+                table._values[way][index] = sharers
+                table._locator[address] = (way, index)
+                table._start_way = way
+                return None
+        result = table.insert_absent(address, sharers, indices)
+        attempts = result.attempts
+        stats = self._stats
+        stats.insertions += 1
+        stats.insertion_attempts += attempts
+        stats.attempt_histogram[attempts] += 1
+        stats.bits_written += attempts * self._entry_bits
+        if not result.evicted:
+            return ()
+        invalidation = Invalidation(
+            address=result.evicted_key, caches=result.evicted_value.sharers()
+        )
+        self._record_forced_invalidation(invalidation)
+        return (invalidation,)
+
+    def drain_handles(self) -> Optional[DrainHandles]:
+        """The batched drain's view of this directory (see
+        :class:`~repro.directories.base.DrainHandles`).
+
+        Rows are ways and columns are set indices of the cuckoo table; the
+        vectorized pre-pass is the hash family's ``batch_indices`` (one
+        candidate index per way for every drained address), shared across
+        slices whose families report equal batch keys.  Only the plain
+        full-bit-vector encoding on the exact base class qualifies:
+        subclasses (the stashed variant) and richer sharer encodings
+        override operation semantics the inlined sequences do not
+        reproduce, so they return ``None`` and keep the method-call path.
         """
         if type(self) is not CuckooDirectory or self._sharer_cls is not FullBitVector:
             return None
         table = self._table
-        return (
-            table,
-            table._locator,
-            table._keys,
-            table._values,
-            table._way_orders,
-            self._sharer_pool,
-            self._stats,
+        family = table.hash_family
+        return DrainHandles(
+            locator=table._locator,
+            keys=table._keys,
+            values=table._values,
+            stamps=None,
+            tick=None,
+            sharer_pool=self._sharer_pool,
+            stats=self._stats,
+            lookup_bits=self._lookup_tag_bits,
+            payload_bits=self._payload_bits,
+            entry_bits=self._entry_bits,
+            batch_key=family.batch_key(),
+            candidate_rows=family.batch_indices,
+            insert=self._insert_absent,
         )
 
     def remove_sharer(self, address: int, cache_id: int) -> None:

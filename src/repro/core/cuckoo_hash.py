@@ -143,8 +143,8 @@ class CuckooHashTable:
         # Derived reverse index: key -> (way, index) of its current slot.
         # Kept in lockstep with the way arrays by every placement,
         # displacement-walk step and removal (see the module docstring).
+        # The table's size is len(_locator).
         self._locator: Dict[int, Tuple[int, int]] = {}
-        self._size = 0
         self._start_way = 0
         # Round-robin probe orders: _way_orders[s] is the way sequence for
         # a walk starting at way s, so the vacant-candidate scan does no
@@ -191,10 +191,10 @@ class CuckooHashTable:
         return self._hashes
 
     def occupancy(self) -> float:
-        return self._size / self.capacity if self.capacity else 0.0
+        return len(self._locator) / self.capacity if self.capacity else 0.0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._locator)
 
     # -- lookup ---------------------------------------------------------------
     def candidate_slots(self, key: int) -> List[Tuple[int, int]]:
@@ -303,7 +303,6 @@ class CuckooHashTable:
                 keys[way][index] = key
                 values[way][index] = value
                 locator[key] = (way, index)
-                self._size += 1
                 self._start_way = way
                 return self._inserted_results[1]
 
@@ -332,7 +331,6 @@ class CuckooHashTable:
             way_values[index] = current_value
             locator[current_key] = (way, index)
             if victim_key == _EMPTY:
-                self._size += 1
                 self._start_way = way
                 return self._inserted_results[attempts]
             current_key = victim_key
@@ -342,7 +340,7 @@ class CuckooHashTable:
                 way = 0
 
         # Walk cut off: the most recently displaced entry is discarded.  The
-        # new key itself has been written into the table (self._size is
+        # new key itself has been written into the table (the size is
         # unchanged: one entry in, one entry out).
         del locator[current_key]
         self._start_way = way
@@ -372,7 +370,6 @@ class CuckooHashTable:
         del self._locator[way_keys[index]]
         way_keys[index] = _EMPTY
         self._values[way][index] = None
-        self._size -= 1
 
     def remove(self, key: int) -> bool:
         """Remove ``key``; returns ``True`` if it was present."""
@@ -387,7 +384,6 @@ class CuckooHashTable:
             self._keys[way] = [_EMPTY] * self._num_sets
             self._values[way] = [None] * self._num_sets
         self._locator.clear()
-        self._size = 0
         self._start_way = 0
 
     # -- diagnostics ---------------------------------------------------------
@@ -417,5 +413,5 @@ class CuckooHashTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CuckooHashTable(ways={self._num_ways}, sets={self._num_sets}, "
-            f"size={self._size}, occupancy={self.occupancy():.2f})"
+            f"size={len(self)}, occupancy={self.occupancy():.2f})"
         )

@@ -28,7 +28,17 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 __all__ = [
     "DirectoryEntry",
@@ -37,6 +47,7 @@ __all__ = [
     "UpdateResult",
     "Invalidation",
     "Directory",
+    "DrainHandles",
 ]
 
 
@@ -199,6 +210,52 @@ class DirectoryStats:
         merged.attempt_histogram = Counter(self.attempt_histogram)
         merged.attempt_histogram.update(other.attempt_histogram)
         return merged
+
+
+class DrainHandles(NamedTuple):
+    """A directory's live state, exposed to the batched miss drain.
+
+    The drain (``TiledCMP._drain_batch_vector`` and the inlined path of
+    ``TiledCMP._drain_batch``) runs the common directory operations —
+    probe, sharer-mask OR/clear, entry removal — inline over these
+    structures and flushes the statistics once per chunk; only insertion
+    goes back to the organization.  Every organization that returns
+    handles stores :class:`~repro.directories.sharers.FullBitVector`
+    sharer sets and keeps its entries in ``keys[row][col]`` /
+    ``values[row][col]`` slots (``-1`` / ``None`` when vacant).
+    """
+
+    #: Slice-local address -> ``(row, col)`` slot of its live entry.
+    locator: Dict[int, Tuple[int, int]]
+    keys: List[List[int]]
+    values: List[List[Any]]
+    #: Per-slot LRU stamps and the clock that issues them, for
+    #: organizations whose insertion victimises by recency (``None``
+    #: otherwise).  Every sharer *addition* to a live entry re-stamps it.
+    stamps: Optional[List[List[int]]]
+    tick: Optional[Callable[[], int]]
+    #: Empty sharer sets freed by entry removals, reused by insertions.
+    sharer_pool: list
+    stats: DirectoryStats
+    #: Bits read by a lookup, written by a sharer-set update, and written
+    #: by a single-attempt insertion.
+    lookup_bits: int
+    payload_bits: int
+    entry_bits: int
+    #: Equal keys across slices mean ``candidate_rows`` is interchangeable,
+    #: so the drain runs one pre-pass over the whole chunk (``None``:
+    #: never share).
+    batch_key: Any
+    #: ``candidate_rows(local_addresses)`` -> one insertion row per address
+    #: (an ndarray in, a list out), computed vectorized ahead of the loop.
+    candidate_rows: Callable[[Any], list]
+    #: ``insert(local, sharer_set, row)`` places a new entry for an absent
+    #: address (``row`` from ``candidate_rows``, or ``None`` to derive it).
+    #: Returns ``None`` for a single-attempt vacant-slot placement, whose
+    #: statistics the drain accounts itself; otherwise the step recorded
+    #: its own statistics and returns the forced invalidations it caused
+    #: (a tuple, empty when a displacement walk found room).
+    insert: Callable[[int, Any, Any], Optional[Tuple["Invalidation", ...]]]
 
 
 class Directory(abc.ABC):

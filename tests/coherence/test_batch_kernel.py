@@ -61,7 +61,7 @@ def _deep_directory_state(system):
                     for way_values in table._values
                 ],
                 dict(table._locator),
-                table._size,
+                len(table),
                 table._start_way,
             )
         )

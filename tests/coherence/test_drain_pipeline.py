@@ -9,12 +9,17 @@ fallback) and require every observable — flat cache arrays, DirectoryStats
 including the attempt histogram, the cuckoo tables' way arrays / locators /
 start-way cursors, bank stats and traffic — to match bit for bit:
 
-* across directory organizations (cuckoo takes the vector path; sparse
-  and stashed-cuckoo variants must *refuse* it and still agree),
+* across directory organizations (cuckoo and sparse take the vector path;
+  stashed-cuckoo variants and rich sharer encodings must *refuse* it, say
+  why, and still agree),
 * under tight tables where displacement walks terminate in forced
   invalidations (the rollback / re-injection machinery), and
 * with chunk boundaries placed at every offset of a conflict-heavy
   stream, so every drain class crosses a boundary somewhere.
+
+The sparse (set-associative, LRU-victimising) organization is checked
+against the ``_access_block`` reference protocol path itself, down to its
+slot arrays, LRU stamps and recency clock.
 """
 
 import numpy as np
@@ -22,11 +27,14 @@ import pytest
 
 import repro.coherence.system as sysmod
 from repro.coherence.paging import PageMapper
-from repro.coherence.system import TiledCMP
+from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
+from repro.directories.in_cache import InCacheDirectory
+from repro.directories.sharers import CoarseVector
 from repro.directories.sparse import SparseDirectory
+from repro.experiments.common import sparse_factory
 from repro.hashing.strong import StrongHashFamily
 from repro.obs.metrics import REGISTRY
 
@@ -51,6 +59,8 @@ def counters():
         return {
             "vector": sysmod._DRAIN_VECTOR.value,
             "scalar": sysmod._DRAIN_SCALAR.value,
+            "rollbacks": sysmod._BATCH_ROLLBACKS.value,
+            "refused": sysmod._DRAIN_REFUSED.value,
             "classes": {
                 "hits": sysmod._DRAIN_CLS_HITS.value,
                 "upgrades": sysmod._DRAIN_CLS_UPGRADES.value,
@@ -169,23 +179,184 @@ def test_strong_hash_family_shared_batch_key(vector_kernel, counters):
     assert counters()["vector"] > before["vector"]
 
 
-def test_stash_variant_refuses_vector_drain(vector_kernel, counters):
+def test_stash_variant_refuses_vector_drain(vector_kernel, counters, caplog):
     before = counters()
-    vector_system, _ = _run_pair(_mixed_stream(seed=5), 64, _stash_factory)
+    with caplog.at_level("INFO", logger="repro.coherence.system"):
+        vector_system, _ = _run_pair(_mixed_stream(seed=5), 64, _stash_factory)
     after = counters()
     # drain_handles() is None for the stashed subclass: both systems take
     # the scalar fallback and the vector counter must not move.
     assert vector_system._drain_vector_support is False
     assert after["vector"] == before["vector"]
     assert after["scalar"] > before["scalar"]
+    # The refusal names the gate, once per system (the scalar side of the
+    # pair had its decision poisoned, so only one system resolved it).
+    reason = "slice 0: StashedCuckooDirectory has no drain handles"
+    assert vector_system.drain_vector_refusal == reason
+    assert after["refused"] - before["refused"] == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"vectorized drain refused: {reason}"
+    ]
 
 
-def test_sparse_refuses_vector_drain(vector_kernel, counters):
+def test_rich_sharer_encoding_refusal_names_the_encoding(vector_kernel):
+    def coarse_sparse(num_caches, slice_id):
+        return SparseDirectory(
+            num_caches=num_caches, num_sets=4, num_ways=2,
+            sharer_cls=CoarseVector, num_pointers=1, vector_bits=2,
+        )
+
+    system = _make_system(_config(CacheLevel.L1, 4), coarse_sparse)
+    _run_batched(system, _mixed_stream(seed=2), 64)
+    assert system.drain_vector_refusal == "slice 0: sharer encoding CoarseVector"
+
+
+def test_supported_system_reports_no_refusal(vector_kernel):
+    system = _make_system(_config(CacheLevel.L1, 4), _sparse_factory)
+    _run_batched(system, _mixed_stream(seed=2), 64)
+    assert system._drain_vector_support
+    assert system.drain_vector_refusal is None
+
+
+# -- sparse: the vectorized drain vs the _access_block reference ---------------
+
+
+def _sparse_deep_state(system):
+    """Sparse slot arrays, LRU stamps, locator, pool and clock per slice."""
+    return [
+        (
+            [list(keys) for keys in directory._keys],
+            [
+                [None if value is None else value._mask for value in values]
+                for values in directory._values
+            ],
+            [list(stamps) for stamps in directory._stamps],
+            dict(directory._locator),
+            len(directory._sharer_pool),
+            repr(directory._tick.__self__),  # the clock's next stamp
+        )
+        for directory in system._directories
+    ]
+
+
+def _reference_pair(stream, chunk, factory, level=CacheLevel.L1, cores=4,
+                    track_traffic=True):
+    """The stream batched (vector drain) and one access at a time through
+    ``_access_block``; both systems must agree deeply."""
+    config = _config(level, cores)
+
+    def build():
+        return TiledCMP(
+            config, factory, track_traffic=track_traffic,
+            page_mapper=PageMapper(page_bytes=256, seed=0),
+        )
+
+    reference = build()
+    for core, address, is_write, is_instruction in stream:
+        reference.access(MemoryAccess(core, address, is_write, is_instruction))
+    vector_system = build()
+    _run_batched(vector_system, stream, chunk)
+    assert _snapshot(vector_system) == _snapshot(reference)
+    assert _sparse_deep_state(vector_system) == _sparse_deep_state(reference)
+    assert vector_system.check_inclusion() == []
+    return vector_system
+
+
+def test_sparse_takes_vector_drain(vector_kernel, counters):
     before = counters()
-    vector_system, _ = _run_pair(_mixed_stream(seed=7), 64, _sparse_factory)
+    vector_system = _reference_pair(_mixed_stream(seed=7), 64, _sparse_factory)
     after = counters()
-    assert vector_system._drain_vector_support is False
-    assert after["vector"] == before["vector"]
+    assert vector_system._drain_vector_support
+    assert after["vector"] > before["vector"]
+    # ... and agrees with the scalar drain back-end too.
+    _run_pair(_mixed_stream(seed=7), 64, _sparse_factory)
+
+
+def _hot_reread_flood(seed, rounds=120, hot=6, cold=200, num_cores=4):
+    """One core re-reads a hot block (kernel hits) while the other cores
+    flood the directory with fresh blocks that victimise its entry."""
+    rng = np.random.default_rng(seed)
+    stream = []
+    for _ in range(rounds):
+        core = int(rng.integers(num_cores))
+        hot_block = int(rng.integers(hot)) * 64
+        for _ in range(4):
+            stream.append((core, hot_block, False, False))
+            other = (core + 1 + int(rng.integers(num_cores - 1))) % num_cores
+            cold_block = int(rng.integers(hot, hot + cold)) * 64
+            stream.append((other, cold_block, bool(rng.integers(2)), False))
+    return stream
+
+
+def test_sparse_forced_invalidation_flood(vector_kernel, counters):
+    # 2 sets x 2 ways per slice: nearly every insertion victimises an LRU
+    # entry, and the victims' retired kernel hits must be rolled back.
+    before = counters()
+    stream = _hot_reread_flood(seed=1)
+    for chunk in (16, 32, 64, len(stream)):
+        vector_system = _reference_pair(stream, chunk, _sparse_factory)
+        assert vector_system.directory_stats().forced_invalidations > 0
+    after = counters()
+    assert after["rollbacks"] > before["rollbacks"]
+    # LRU victimisations count as insertions with no vacant candidate.
+    assert after["classes"]["walks"] > before["classes"]["walks"]
+
+
+def test_sparse_paper_geometry(vector_kernel, counters):
+    # The paper's baseline: 8 ways at 2x provisioning of the tracked frames.
+    factory = sparse_factory(_config(CacheLevel.L1, 4), ways=8, provisioning=2.0)
+    assert factory(8, 0).num_ways == 8
+    before = counters()
+    _reference_pair(_mixed_stream(seed=31, rounds=300, blocks=96), 128, factory)
+    assert counters()["vector"] > before["vector"]
+
+
+def test_sparse_l2_tracked_without_banks(vector_kernel, counters):
+    before = counters()
+    vector_system = _reference_pair(
+        _mixed_stream(seed=37), 64, _sparse_factory, level=CacheLevel.L2
+    )
+    assert vector_system.l2_banks is None
+    assert counters()["vector"] > before["vector"]
+
+
+def test_sparse_without_traffic_tracking(vector_kernel, counters):
+    before = counters()
+    vector_system = _reference_pair(
+        _mixed_stream(seed=43), 64, _sparse_factory, track_traffic=False
+    )
+    assert sum(vector_system.traffic.messages.values()) == 0
+    assert counters()["vector"] > before["vector"]
+
+
+def test_in_cache_directory_takes_vector_drain(vector_kernel, counters):
+    config = _config(CacheLevel.L1, 4)
+
+    def in_cache(num_caches, slice_id):
+        return InCacheDirectory(
+            num_caches=num_caches, l2_slice_config=config.l2_config, num_slices=4
+        )
+
+    before = counters()
+    vector_system = _reference_pair(
+        _mixed_stream(seed=47, rounds=260, blocks=64), 64, in_cache
+    )
+    assert vector_system._drain_vector_support
+    assert counters()["vector"] > before["vector"]
+
+
+def test_sparse_chunks_around_vector_min(vector_kernel, counters):
+    # Chunks draining fewer than _DRAIN_VECTOR_MIN accesses take the
+    # scalar drain's inlined path, larger ones the vector drain; both
+    # mutate the same sparse state and must stay on the reference.
+    floor = sysmod._DRAIN_VECTOR_MIN
+    stream = _mixed_stream(seed=53, rounds=200, blocks=40)
+    before = counters()
+    for chunk in (floor - 1, floor, floor + 1, 2 * floor + 3):
+        _reference_pair(stream, chunk, _sparse_factory)
+    after = counters()
+    assert after["vector"] > before["vector"]
+    assert after["scalar"] > before["scalar"]
 
 
 def test_default_drain_pipeline_scalar_forces_fallback(

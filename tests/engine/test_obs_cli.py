@@ -169,3 +169,24 @@ class TestWorkerAndCostFields:
         out = capsys.readouterr().out
         assert "cost_seconds" in out
         assert "secs_per_point" in out
+
+    def test_report_all_cost_is_nonzero_for_simulated_points(
+        self, capsys, store_path
+    ):
+        # The cost columns aggregate elapsed_seconds, which flatten_record
+        # leaves out by default: a freshly simulated store must still
+        # report the wall time it recorded, in every output shape.
+        main(_sweep_argv(store_path, "--quiet"))
+        capsys.readouterr()
+        (result,) = list(ResultStore(store_path).iter_results())
+        assert main([
+            "report", "--all", "--store", store_path, "--group-by", "workload",
+            "--format", "json",
+        ]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["cost_seconds"] == pytest.approx(result.elapsed_seconds)
+        assert row["secs_per_point"] == pytest.approx(result.elapsed_seconds)
+        assert row["cost_seconds"] > 0.0
+        assert main(["report", "--all", "--store", store_path, "--format", "json"]) == 0
+        (flat,) = json.loads(capsys.readouterr().out)["rows"]
+        assert flat["elapsed_seconds"] == pytest.approx(result.elapsed_seconds)
