@@ -22,29 +22,22 @@ The record also carries ``fig10_speedup_vs_prev_committed`` — the fig10
 time committed by the previous perf PR divided by the current time —
 which is the per-PR claim CI's ``repro-run compare`` gate watches.
 
-``--kernel {auto,vector,scalar}`` selects the batch front-end for the
-fig10 point: the whole-chunk kernel (``vector``), the per-access scalar
-loop (``scalar``), or the per-chunk heuristic (``auto``, the default and
-what the committed record uses).  Both paths are bit-identical; keeping
-both benchmarked pins the kernel's win and catches a regression in
-either.  The fig10 reference point is *miss-dominated* (the scaled L1s
-hit only ~21% of accesses), so its time is governed by the miss drain;
-the ``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
-stream, and the ``drain_vector_speedup`` leg times the same stream with
-the vectorized drain pipeline forced off (``DEFAULT_DRAIN_PIPELINE =
-"scalar"``, the pre-pipeline protocol loop) — alternated run-for-run
-in the same process, so bursty host load lands on both sides of the
-ratio and the drain win is gated independently of hit retirement and
-of machine drift.  A second alternated leg times the fig10 point
-itself with the scalar drain (``fig10_drain_pipeline_speedup``): the
-end-to-end claim with both sides measured seconds apart instead of
-against a cross-session pin.
+The fig10 reference point is *miss-dominated* (the scaled L1s hit only
+~21% of accesses), so its time is governed by the vectorized drain; the
+``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
+stream.  Two alternated legs time the drain against the per-access
+reference protocol (one ``TiledCMP.access_scalar`` call per access,
+which is what the batched path must equal bit for bit):
+``drain_vector_speedup`` on the drain-heavy stream and
+``fig10_drain_pipeline_speedup`` on the fig10 point itself.  Each leg
+alternates run-for-run in the same process, so bursty host load lands on
+both sides of the ratio and the win is gated independently of machine
+drift instead of against a cross-session pin.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hot_path.py            # full
     PYTHONPATH=src python benchmarks/bench_hot_path.py --quick    # 1 repeat
-    PYTHONPATH=src python benchmarks/bench_hot_path.py --kernel scalar
     PYTHONPATH=src python benchmarks/bench_hot_path.py --fail-drain-below 1.3
     PYTHONPATH=src python benchmarks/bench_hot_path.py --output out.json
 
@@ -86,9 +79,8 @@ PRE_PR_BASELINE: Dict[str, float] = {
     "skewing_indices_50k_seconds": 0.24681,
     "trace_100k_seconds": 0.17169,
     # The drain-heavy stream predates no rewrite (the metric was added
-    # with the vectorized drain pipeline), so its "before" is the scalar
-    # drain on the same tree: best of 3 with DEFAULT_DRAIN_PIPELINE
-    # forced to "scalar" — the pre-pipeline protocol loop, unchanged.
+    # with the vectorized drain pipeline), so its "before" is the inlined
+    # scalar drain of that tree (since removed): best of 3.
     "drain_heavy_50k_seconds": 0.3268,
 }
 
@@ -164,9 +156,8 @@ _DRAIN_STREAM = None
 def _drain_heavy_stream():
     """50k accesses over a footprint ~30x the tracked L1 capacity.
 
-    The hit rate collapses to ~1%, so virtually every access reaches the
-    miss drain: the stream isolates the drain pipeline from the hit
-    retirement the whole-chunk kernel already vectorizes.  30% writes
+    The hit rate collapses to ~1%, so virtually every access misses: the
+    stream isolates the drain's miss protocol from hit handling.  30% writes
     keep the write-miss/invalidation protocol in the mix; the shared
     footprint keeps directory-hit reads (sharer additions, owner
     downgrades) common.  Built once and reused — the arrays, not their
@@ -186,19 +177,58 @@ def _drain_heavy_stream():
     return _DRAIN_STREAM
 
 
-def _bench_drain_heavy() -> None:
+def _drain_heavy_system():
     from repro.coherence.system import TiledCMP
     from repro.engine.execute import directory_factory_for_spec
 
     config = scaled_system(CacheLevel.L1, scale=16)
-    factory = directory_factory_for_spec(FIG10_REFERENCE, config)
-    system = TiledCMP(config, factory)
+    return TiledCMP(config, directory_factory_for_spec(FIG10_REFERENCE, config))
+
+
+def _bench_drain_heavy() -> None:
+    system = _drain_heavy_system()
     cores, addresses, writes, instrs = _drain_heavy_stream()
     total = len(cores)
     for start in range(0, total, 4096):
         system.access_batch(
             cores, addresses, writes, instrs, start, min(start + 4096, total)
         )
+
+
+def _reference_access_batch(
+    self, cores, addresses, writes, instrs, start=0, stop=None
+):
+    """``access_batch``'s contract, one ``access_scalar`` call per access."""
+    import numpy as np
+
+    if stop is None:
+        stop = len(cores)
+    access = self.access_scalar
+    for core, address, is_write, is_instr in zip(
+        np.asarray(cores)[start:stop].tolist(),
+        np.asarray(addresses)[start:stop].tolist(),
+        np.asarray(writes)[start:stop].tolist(),
+        np.asarray(instrs)[start:stop].tolist(),
+    ):
+        access(core, address, is_write, is_instr)
+    return max(stop - start, 0)
+
+
+def _bench_drain_heavy_reference() -> None:
+    """The drain-heavy stream, one ``access_scalar`` call per access."""
+    _reference_access_batch(_drain_heavy_system(), *_drain_heavy_stream())
+
+
+def _bench_fig10_reference() -> None:
+    """The fig10 point with every chunk run through the reference."""
+    from repro.coherence.system import TiledCMP
+
+    batched = TiledCMP.access_batch
+    TiledCMP.access_batch = _reference_access_batch
+    try:
+        _bench_fig10_point()
+    finally:
+        TiledCMP.access_batch = batched
 
 
 METRICS: Dict[str, Callable[[], None]] = {
@@ -211,28 +241,24 @@ METRICS: Dict[str, Callable[[], None]] = {
 }
 
 
-def _alternated_pair(fn, repeats, system_module):
-    """Best-of-``repeats`` for ``fn`` under both drain pipelines.
+def _alternated_pair(fn, reference_fn, repeats):
+    """Best-of-``repeats`` for ``fn`` and for its per-access reference.
 
-    The two sides alternate run-for-run (vector, scalar, vector, ...)
-    so bursty host load lands on both legs equally instead of on
+    The two sides alternate run-for-run (batched, reference, batched,
+    ...) so bursty host load lands on both legs equally instead of on
     whichever leg happened to run later; each side's minimum then comes
-    from the same quiet moments.  Returns ``(vector_min, scalar_min)``.
+    from the same quiet moments.  Returns ``(batched_min, reference_min)``.
     """
-    vector_times = []
-    scalar_times = []
+    batched_times = []
+    reference_times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        vector_times.append(time.perf_counter() - start)
-        system_module.DEFAULT_DRAIN_PIPELINE = "scalar"
-        try:
-            start = time.perf_counter()
-            fn()
-            scalar_times.append(time.perf_counter() - start)
-        finally:
-            system_module.DEFAULT_DRAIN_PIPELINE = "auto"
-    return min(vector_times), min(scalar_times)
+        batched_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference_fn()
+        reference_times.append(time.perf_counter() - start)
+    return min(batched_times), min(reference_times)
 
 
 def run_benchmarks(repeats: int) -> Dict[str, float]:
@@ -274,62 +300,44 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="RATIO",
-        help="exit non-zero if drain_vector_speedup (vectorized drain "
-        "pipeline vs scalar drain on the drain-heavy stream, measured "
+        help="exit non-zero if drain_vector_speedup (vectorized drain vs "
+        "the per-access reference on the drain-heavy stream, measured "
         "interleaved) is below RATIO",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="batch-kernel selection for the fig10 point: 'vector' forces "
-        "the whole-chunk kernel, 'scalar' forces the per-access loop, "
-        "'auto' (default, what the committed record uses) lets the system "
-        "choose per chunk — keeps both paths benchmarked",
-    )
     args = parser.parse_args(argv)
-
-    # The toggle works through the module default read at system
-    # construction, so every system the benchmarks build below obeys it.
-    import repro.coherence.system as _system_module
-
-    _system_module.DEFAULT_BATCH_KERNEL = args.kernel
 
     repeats = args.repeats if args.repeats else (1 if args.quick else 3)
     print(f"hot-path benchmark ({repeats} repeat(s) per metric)", file=sys.stderr)
     current = run_benchmarks(repeats)
 
-    # The drain leg: the same drain-heavy stream with the vectorized
-    # drain pipeline forced off, alternated run-for-run in the same
-    # process so the ratio is host-independent.  The scalar drain is
-    # the pre-pipeline protocol loop, so this gates the drain win on
-    # its own — fig10 and trace_100k mix in hit retirement and trace
-    # production.
-    drain_vector, drain_scalar = _alternated_pair(
-        _bench_drain_heavy, repeats, _system_module
+    # The drain leg: the same drain-heavy stream through the per-access
+    # reference, alternated run-for-run in the same process so the ratio
+    # is host-independent.  This gates the drain win on its own — fig10
+    # and trace_100k mix in hit handling and trace production.
+    drain_vector, drain_reference = _alternated_pair(
+        _bench_drain_heavy, _bench_drain_heavy_reference, repeats
     )
     drain_vector_speedup = (
-        drain_scalar / drain_vector if drain_vector > 0 else float("inf")
+        drain_reference / drain_vector if drain_vector > 0 else float("inf")
     )
     print(
-        f"  {'drain_heavy_50k (scalar drain)':32s} {drain_scalar:9.4f}s",
+        f"  {'drain_heavy_50k (reference)':32s} {drain_reference:9.4f}s",
         file=sys.stderr,
     )
 
-    # End-to-end drain-pipeline ratio on the reference point, measured
-    # the same way: fig10 with the vectorized drain vs fig10 with
-    # DEFAULT_DRAIN_PIPELINE forced to "scalar", alternated.  This is
-    # the comparison behind fig10_speedup_vs_prev_committed but with
-    # both sides measured seconds apart on the same host instead of
-    # against a pin from another session's load phase.
-    fig10_vector, fig10_scalar_drain = _alternated_pair(
-        _bench_fig10_point, repeats, _system_module
+    # End-to-end ratio on the reference point, measured the same way:
+    # fig10 through access_batch vs fig10 with every chunk run per access
+    # through access_scalar, alternated.  Both sides are measured seconds
+    # apart on the same host instead of against a pin from another
+    # session's load phase.
+    fig10_vector, fig10_reference = _alternated_pair(
+        _bench_fig10_point, _bench_fig10_reference, repeats
     )
     fig10_pipeline_speedup = (
-        fig10_scalar_drain / fig10_vector if fig10_vector > 0 else float("inf")
+        fig10_reference / fig10_vector if fig10_vector > 0 else float("inf")
     )
     print(
-        f"  {'fig10_point (scalar drain)':32s} {fig10_scalar_drain:9.4f}s",
+        f"  {'fig10_point (reference)':32s} {fig10_reference:9.4f}s",
         file=sys.stderr,
     )
 
@@ -346,15 +354,14 @@ def main(argv=None) -> int:
     record = {
         "reference_point": FIG10_REFERENCE.to_dict(),
         "quick": args.quick,
-        "kernel": args.kernel,
         "baseline_pre_pr_seconds": PRE_PR_BASELINE,
         "prev_committed_fig10_seconds": PREV_COMMITTED_FIG10_SECONDS,
         "current_seconds": current,
         "drain_heavy_vector_seconds": drain_vector,
-        "drain_heavy_scalar_seconds": drain_scalar,
+        "drain_heavy_reference_seconds": drain_reference,
         "drain_vector_speedup": drain_vector_speedup,
         "fig10_vector_drain_seconds": fig10_vector,
-        "fig10_scalar_drain_seconds": fig10_scalar_drain,
+        "fig10_reference_seconds": fig10_reference,
         "fig10_drain_pipeline_speedup": fig10_pipeline_speedup,
         "speedup_vs_baseline": speedups,
         "fig10_speedup_vs_prev_committed": fig10_vs_prev,
@@ -374,11 +381,11 @@ def main(argv=None) -> int:
         f"{fig10_vs_prev:.2f}x"
     )
     print(
-        f"drain pipeline vs scalar drain ({drain_scalar:.4f}s): "
+        f"drain vs per-access reference ({drain_reference:.4f}s): "
         f"{drain_vector_speedup:.2f}x"
     )
     print(
-        f"fig10 vs scalar drain, alternated ({fig10_scalar_drain:.4f}s): "
+        f"fig10 vs per-access reference, alternated ({fig10_reference:.4f}s): "
         f"{fig10_pipeline_speedup:.2f}x"
     )
     print(f"recorded to {output}")

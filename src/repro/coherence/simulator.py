@@ -44,7 +44,8 @@ __all__ = ["SimulationResult", "TraceSimulator", "TraceChunk"]
 # Phase spans are opened per chunk / per sample point — never per access
 # (DESIGN.md "Observability").  ``trace_production`` times the workload
 # generator (or replay mmap) producing the next chunk; ``translate`` and
-# ``batch_kernel`` are opened inside ``TiledCMP.access_batch``;
+# ``drain_vector`` (or ``drain_scalar``, the reference fallback) are opened
+# inside ``TiledCMP.access_batch``;
 # ``occupancy_sampling`` times the directory occupancy probes.
 _WARMUP_ACCESSES = _obs_counter(
     "sim.run.warmup_accesses", help="accesses executed during warm-up"

@@ -28,14 +28,14 @@ Three entry points execute the same protocol and produce bit-identical
 statistics:
 
 * :meth:`TiledCMP.access` — one :class:`MemoryAccess` object (general API);
-* :meth:`TiledCMP.access_scalar` — one access as plain scalars;
+* :meth:`TiledCMP.access_scalar` — one access as plain scalars.  With
+  ``_access_block`` and its handlers this is the reference protocol;
 * :meth:`TiledCMP.access_batch` — a slice of a trace chunk.  All per-access
   address math (page translation, block/home/local derivation, tracked-cache
-  selection) is numpy-precomputed for the whole slice, the core-range check
-  is hoisted to one chunk-level validation, and consecutive accesses by the
-  same cache to the same block collapse into a single probe plus counter
-  bumps (the run-length fast path — common in instruction and streaming
-  traces).
+  selection) is numpy-precomputed for the whole slice and the core-range
+  check is hoisted to one slice-level validation.  The slice then runs
+  through the one fast path, the vectorized drain, or, for systems the
+  drain refuses, through the reference one access at a time.
 
 Internally the protocol operates on integer MESI codes
 (:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
@@ -44,9 +44,8 @@ CoherenceState` enum appears only at the public cache API boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,40 +86,24 @@ _BATCH_CHUNKS = _obs_counter(
 _BATCH_ACCESSES = _obs_counter(
     "sim.batch.accesses", help="accesses executed through access_batch"
 )
-_BATCH_FOLDED = _obs_counter(
-    "sim.batch.folded_accesses",
-    help="accesses folded by the run-length fast path",
-)
-_BATCH_SCALAR = _obs_counter(
-    "sim.batch.scalar_fallbacks",
-    help="accesses that took the scalar coherence-protocol path",
-)
-_BATCH_KERNEL_HITS = _obs_counter(
-    "sim.batch.kernel_hits",
-    help="hits retired vectorised by the whole-chunk kernel",
-)
 _BATCH_DRAINED = _obs_counter(
     "sim.batch.drained",
-    help="accesses drained through the scalar protocol path by the kernel",
+    help="accesses resolved by the vectorized drain or the reference fallback",
 )
-_BATCH_ROLLBACKS = _obs_counter(
-    "sim.batch.rollbacks",
-    help="kernel-retired hits rolled back and re-injected (hazards)",
-)
-# Drain-pipeline telemetry (DESIGN.md "The batched miss drain"): the
-# vector/scalar split plus the per-class retirement counts, all bumped
-# once per chunk from the drain's chunk-local accumulators.
+# Drain telemetry (DESIGN.md "The vectorized drain pipeline"): the
+# vector/reference split plus the per-class retirement counts, all bumped
+# once per slice from the drain's slice-local accumulators.
 _DRAIN_VECTOR = _obs_counter(
     "sim.drain.vector_resolved",
     help="drained accesses resolved by the vectorized drain pipeline",
 )
 _DRAIN_SCALAR = _obs_counter(
     "sim.drain.scalar_fallback",
-    help="drained accesses resolved by the scalar fallback drain",
+    help="accesses resolved by the reference path (vectorized drain refused)",
 )
 _DRAIN_CLS_HITS = _obs_counter(
     "sim.drain.class_hits",
-    help="drained accesses that were cache hits dragged in by conflicts",
+    help="drained accesses that hit in the tracked cache",
 )
 _DRAIN_CLS_UPGRADES = _obs_counter(
     "sim.drain.class_upgrades",
@@ -142,49 +125,15 @@ _DRAIN_CLS_WALKS = _obs_counter(
     "sim.drain.class_walks",
     help="insertions with no vacant candidate (cuckoo walks, LRU victims)",
 )
-_DRAIN_REINJECTED = _obs_counter(
-    "sim.drain.reinjected",
-    help="rolled-back kernel hits replayed through the drain",
-)
 _DRAIN_REFUSED = _obs_counter(
     "sim.drain.vector_refused",
     help="systems the vectorized drain refused (reason logged once each)",
 )
 _LOG = get_logger("repro.coherence.system")
 
-#: Minimum drained-access count for the vectorized drain pipeline: below
-#: this the pre-pass (batch hashing, hop gathers, list materialisation)
-#: costs more than the scalar fallback's per-access overhead.
-_DRAIN_VECTOR_MIN = 16
-
-#: Default chunk-kernel selection for new :class:`TiledCMP` instances.
-#: ``auto`` engages the vectorised whole-chunk kernel whenever the flat
-#: tag-array snapshot is small enough to amortise over the chunk (see
-#: ``_AUTO_SNAPSHOT_RATIO``); ``vector``/``scalar`` force one path — used
-#: by the property suites (pin the kernel) and ``bench_hot_path.py
-#: --kernel`` (benchmark both).  Module-level so benchmarks can flip the
-#: default without threading a parameter through every experiment helper.
-DEFAULT_BATCH_KERNEL = "auto"
-
-#: Default drain-pipeline selection, the drain-side analogue of
-#: ``DEFAULT_BATCH_KERNEL``: ``auto`` engages the vectorized drain
-#: pipeline whenever the directories support it (``_drain_vector_config``)
-#: and the chunk drains at least ``_DRAIN_VECTOR_MIN`` accesses;
-#: ``scalar`` forces the scalar fallback everywhere.  Read when the
-#: support decision is first resolved (one cached check per system), so
-#: flip it before the first drained chunk — ``bench_hot_path.py`` uses it
-#: to time the scalar drain against the pipeline on the same build.
-DEFAULT_DRAIN_PIPELINE = "auto"
-
-#: ``auto`` uses the vector kernel when ``total tracked frames <= ratio *
-#: chunk length``: the kernel's per-chunk snapshot of every tracked tag
-#: array is O(frames), so tiny chunks over huge caches (the Private-L2
-#: sweeps) would pay more building the snapshot than the scalar loop costs.
-#: The snapshot is a handful of numpy conversions (~35ns/frame) while the
-#: scalar loop costs several microseconds per access, so the break-even
-#: sits near two orders of magnitude; 64 keeps a safety margin for small
-#: chunks (the warm-up ramp) without letting sweep-sized caches through.
-_AUTO_SNAPSHOT_RATIO = 64
+# Hit outcomes the vectorized drain marks per access (0 = miss).
+_HIT_SILENT = 1
+_HIT_UPGRADE = 2
 
 # Hot-path message constants: hoisted enum members and their byte costs so
 # the inlined traffic recording does no enum attribute traversal.
@@ -235,7 +184,6 @@ class TiledCMP:
         track_traffic: bool = True,
         page_mapper: Optional[PageMapper] = None,
         page_mapper_seed: int = 0,
-        batch_kernel: Optional[str] = None,
     ) -> None:
         self._config = config
         self._track_traffic = track_traffic
@@ -292,24 +240,11 @@ class TiledCMP:
         ]
         self._hop_matrix = np.asarray(self._hop_table, dtype=np.int64)
         # Vectorized-drain support decision, resolved lazily on the first
-        # drained chunk (see _drain_vector_config): None = unresolved,
-        # False = unsupported (reason in _drain_vector_refusal), else the
+        # slice (see _drain_vector_config): None = unresolved, False =
+        # refused (reason in _drain_vector_refusal), else the
         # shared-batch-key marker tuple.
         self._drain_vector_support: object = None
         self._drain_vector_refusal: Optional[str] = None
-        # Whole-chunk kernel selection (see DEFAULT_BATCH_KERNEL).  The
-        # vector kernel needs inline-LRU recency in every cache it stamps;
-        # a custom replacement policy silently drops back to the scalar
-        # loop, which goes through the policy's per-access hooks.
-        kernel = batch_kernel if batch_kernel is not None else DEFAULT_BATCH_KERNEL
-        if kernel not in ("auto", "vector", "scalar"):
-            raise ValueError(f"unknown batch kernel {kernel!r}")
-        self._batch_kernel = kernel
-        self._kernel_lru_ok = all(cache.lru_inline for cache in self._tracked) and (
-            self._l2_banks is None
-            or all(bank.lru_inline for bank in self._l2_banks)
-        )
-        self._snapshot_frames = num_tracked * self._tracked[0].num_frames
 
     # -- geometry / accessors ------------------------------------------------
     @property
@@ -504,19 +439,18 @@ class TiledCMP:
         ``0 <= core < num_cores`` check runs once per slice instead of per
         access.  Equivalent to calling :meth:`access_scalar` per element.
 
-        Execution then goes through one of two kernels (see
-        ``DEFAULT_BATCH_KERNEL`` and DESIGN.md "The hot path"):
+        The translated slice then takes one of two paths (DESIGN.md "The
+        vectorized drain pipeline"):
 
-        * **vector** — the whole-chunk kernel: every tracked-cache lookup
-          in the slice is resolved at once against the flat tag arrays,
-          conflict-free hits are retired with vectorised stamp writes and
-          bulk counter updates, and only the sparse remainder (misses,
-          upgrades, and accesses dragged into their conflict groups) drains
-          through the scalar MESI protocol in trace order.
-        * **scalar** — the per-access loop with the run-length fold.
+        * the **vectorized drain** (:meth:`_drain_batch_vector`), the one
+          fast path, whenever every slice has drain handles and every
+          tracked cache and L2 bank keeps inline LRU recency;
+        * otherwise the **reference**: :meth:`_access_block` per access,
+          in trace order.  Why the fast path refused is kept in
+          :attr:`drain_vector_refusal`.
 
-        Both kernels are bit-identical in every statistic and in all
-        directory/cache state.
+        Both leave every statistic and all directory/cache state
+        bit-identical.
         """
         cores = np.asarray(cores)
         if stop is None:
@@ -548,286 +482,39 @@ class TiledCMP:
         self._accesses += count
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
-        kernel = self._batch_kernel
-        if kernel != "scalar" and self._kernel_lru_ok and (
-            kernel == "vector"
-            or self._snapshot_frames <= _AUTO_SNAPSHOT_RATIO * count
-        ):
-            self._access_batch_vector(
-                block_array, locals_array, homes_array,
-                cache_id_array, write_array, count,
-            )
-        else:
-            self._access_batch_scalar(
+        _BATCH_DRAINED.add(count)
+        vector_config = self._drain_vector_config()
+        if vector_config is not None:
+            with _TRACER.span("drain_vector"):
+                self._drain_batch_vector(
+                    block_array, locals_array, homes_array, cache_id_array,
+                    write_array, vector_config,
+                )
+            return count
+        with _TRACER.span("drain_scalar"):
+            access_block = self._access_block
+            for block, local, home, cache_id, is_write in zip(
                 block_array.tolist(), locals_array.tolist(),
                 homes_array.tolist(), cache_id_array.tolist(),
-                write_array.tolist(), count,
-            )
+                write_array.tolist(),
+            ):
+                access_block(block, local, home, cache_id, is_write)
+        _DRAIN_SCALAR.add(count)
         return count
-
-    def _access_batch_scalar(
-        self,
-        blocks: List[int],
-        locals_: List[int],
-        homes: List[int],
-        cache_ids: List[int],
-        write_flags: List[bool],
-        count: int,
-    ) -> None:
-        """The per-access chunk loop with the run-length fold.
-
-        Used when the vector kernel is disabled, when a custom replacement
-        policy needs its per-access hooks, or when the chunk is too small
-        to amortise the kernel's tag-array snapshot (``auto`` mode).
-        """
-        tracked = self._tracked
-        banks = self._l2_banks
-        directories = self._directories
-        # Pre-bound per-cache touch methods: one bind per cache per batch
-        # instead of one attribute bind per access.
-        touch_code_of = [cache.touch_code for cache in tracked]
-        folded = 0
-        with _TRACER.span("batch_kernel"):
-            i = 0
-            while i < count:
-                block = blocks[i]
-                cache_id = cache_ids[i]
-                is_write = write_flags[i]
-                state = touch_code_of[cache_id](block, is_write)
-                if state >= 0:
-                    if is_write and state != STATE_MODIFIED:
-                        self._write_hit_upgrade(
-                            block, locals_[i], homes[i], cache_id,
-                            tracked[cache_id], state
-                        )
-                else:
-                    home = homes[i]
-                    if banks is not None:
-                        # Inlined touch_or_fill: one call on a bank hit, two on
-                        # a bank miss.
-                        bank = banks[home]
-                        if bank.touch_code(block, is_write) < 0:
-                            bank.fill_miss_code(block)
-                    if is_write:
-                        self._handle_write_miss(
-                            block, locals_[i], home, cache_id, tracked[cache_id],
-                            directories[home],
-                        )
-                    else:
-                        self._handle_read_miss(
-                            block, locals_[i], home, cache_id, tracked[cache_id],
-                            directories[home],
-                        )
-                i += 1
-                if i < count and blocks[i] == block and cache_ids[i] == cache_id:
-                    # Run-length fast path: the next access targets the same
-                    # block from the same cache.  Repeats that cannot change
-                    # any state — reads while resident, or any access while
-                    # MODIFIED (M implies dirty) — fold into counter bumps.
-                    cache = tracked[cache_id]
-                    state = cache.state_code_of(block)
-                    j = i
-                    if state == STATE_MODIFIED:
-                        while (
-                            j < count
-                            and blocks[j] == block
-                            and cache_ids[j] == cache_id
-                        ):
-                            j += 1
-                    elif state > 0:
-                        while (
-                            j < count
-                            and blocks[j] == block
-                            and cache_ids[j] == cache_id
-                            and not write_flags[j]
-                        ):
-                            j += 1
-                    if j > i:
-                        cache.touch_repeats(block, j - i)
-                        folded += j - i
-                        i = j
-        _BATCH_FOLDED.add(folded)
-        _BATCH_SCALAR.add(count - folded)
-
-    def _access_batch_vector(
-        self,
-        blocks_a: np.ndarray,
-        locals_a: np.ndarray,
-        homes_a: np.ndarray,
-        caches_a: np.ndarray,
-        writes_a: np.ndarray,
-        count: int,
-    ) -> None:
-        """Whole-chunk kernel: vectorised hit retirement + scalar miss drain.
-
-        Three phases, bit-identical to running :meth:`access_scalar` per
-        element (the property suites in tests/coherence assert this on
-        adversarial chunks):
-
-        1. **Classify.**  Every access is resolved against a snapshot of
-           the flat tag/state arrays taken at chunk entry: vectorised
-           set-index/tag derivation, a per-way tag compare across the whole
-           chunk, and a state-code gather.  Read hits and write hits in M
-           are *kernel-eligible* (no protocol side effects); write upgrades
-           in S/E and misses must drain.
-        2. **Partition into conflict groups.**  A draining access has
-           side effects the snapshot cannot see, so eligibility propagates
-           restrictions: every access to a *block* that drains anywhere in
-           the chunk also drains (cross-cache invalidations/downgrades
-           could change its hit outcome), and every hit in a (cache, set)
-           that contains a draining access drains too (fills read and
-           reorder that set's LRU stamps).  One propagation round is a
-           fixpoint: demoted hits add no new blocks with side effects and
-           no new sets with fills.
-        3. **Retire + drain.**  Surviving hits are retired in bulk with
-           *exact* precomputed stamps — every access advances its cache's
-           clock by exactly one, so stamp(i) = clock-at-entry + rank of i
-           among that cache's chunk accesses, independent of interleaving.
-           The remainder drains through the scalar MESI protocol in trace
-           order (:meth:`_drain_batch`).  Forced invalidations are the one
-           event the partition cannot predict (cut-off cuckoo walks victimise
-           arbitrary blocks); the drain detects retired-but-now-stale kernel
-           hits, rolls them back exactly and re-injects them as scalar
-           accesses.
-        """
-        tracked = self._tracked
-        num_tracked = len(tracked)
-        first = tracked[0]
-        num_sets = first.num_sets
-        num_ways = first.num_ways
-        frames_per = num_sets * num_ways
-
-        with _TRACER.span("hit_kernel"):
-            sets_a = blocks_a % num_sets
-            frame_base = caches_a * frames_per + sets_a * num_ways
-            flat_tags = np.array(
-                [cache._tags for cache in tracked], dtype=np.int64
-            ).ravel()
-            flat_states = np.array(
-                [cache._states for cache in tracked], dtype=np.int64
-            ).ravel()
-            frames = np.full(count, -1, dtype=np.int64)
-            for way in range(num_ways):
-                candidate = frame_base + way
-                np.copyto(frames, candidate, where=(flat_tags[candidate] == blocks_a))
-            found = frames >= 0
-            state_snap = np.where(found, flat_states[np.where(found, frames, 0)], 0)
-            eligible = found & (~writes_a | (state_snap == STATE_MODIFIED))
-            drain_mask = ~eligible
-            if drain_mask.any() and eligible.any():
-                # Membership via scatter/gather tables: both key spaces
-                # are dense integer ranges, so a boolean table beats the
-                # sort-based unique/isin pair.  Block ids are only
-                # bounded by the address space, so huge outliers fall
-                # back to isin.
-                max_block = int(blocks_a.max())
-                if max_block < (1 << 22):
-                    block_table = np.zeros(max_block + 1, dtype=bool)
-                    block_table[blocks_a[drain_mask]] = True
-                    drain_mask |= block_table[blocks_a]
-                else:
-                    conflict_blocks = np.unique(blocks_a[drain_mask])
-                    drain_mask |= np.isin(blocks_a, conflict_blocks)
-                set_keys = caches_a * num_sets + sets_a
-                set_table = np.zeros(num_tracked * num_sets, dtype=bool)
-                set_table[set_keys[drain_mask]] = True
-                drain_mask |= set_table[set_keys]
-
-            # Exact per-access stamps (phase 3 above), computed for the
-            # whole chunk: group accesses by cache and rank within group.
-            clock0 = np.fromiter(
-                (cache._clock for cache in tracked),
-                dtype=np.int64,
-                count=num_tracked,
-            )
-            cache_counts = np.bincount(caches_a, minlength=num_tracked)
-            order = np.argsort(caches_a, kind="stable")
-            sorted_caches = caches_a[order]
-            group_starts = np.concatenate(([0], np.cumsum(cache_counts)[:-1]))
-            ranks = np.arange(count, dtype=np.int64) - np.repeat(
-                group_starts, cache_counts
-            )
-            stamps_a = np.empty(count, dtype=np.int64)
-            stamps_a[order] = clock0[sorted_caches] + ranks + 1
-
-            kernel_idx = np.flatnonzero(~drain_mask)
-            kernel_count = int(kernel_idx.size)
-            if kernel_count:
-                kern_cache = caches_a[kernel_idx]
-                kern_frame = frames[kernel_idx] - kern_cache * frames_per
-                kern_stamp = stamps_a[kernel_idx]
-                kern_old = np.empty(kernel_count, dtype=np.int64)
-                for cache_id in np.unique(kern_cache).tolist():
-                    member = kern_cache == cache_id
-                    kern_old[member] = tracked[cache_id].touch_batch(
-                        kern_frame[member].tolist(), kern_stamp[member].tolist()
-                    )
-                kernel_state: Optional[Tuple[np.ndarray, ...]] = (
-                    kernel_idx,
-                    kern_cache,
-                    kern_frame,
-                    blocks_a[kernel_idx],
-                    sets_a[kernel_idx],
-                    writes_a[kernel_idx],
-                    kern_stamp,
-                    kern_old,
-                    np.ones(kernel_count, dtype=bool),
-                )
-            else:
-                kernel_state = None
-        _BATCH_KERNEL_HITS.add(kernel_count)
-
-        drain_idx = np.flatnonzero(drain_mask)
-        drained = int(drain_idx.size)
-        _BATCH_DRAINED.add(drained)
-        if drained:
-            # Drain pipeline selection: the vectorized drain needs drain
-            # handles on every slice (cuckoo or sparse directories with
-            # full-bit-vector sharers) and enough drained accesses to
-            # amortise its pre-pass; anything else — stash / skewed /
-            # rich-sharer organizations, tiny drains — takes the scalar
-            # fallback.  Both emit their own span so --profile
-            # shows where drain time goes.
-            vector_config = (
-                self._drain_vector_config()
-                if drained >= _DRAIN_VECTOR_MIN
-                else None
-            )
-            if vector_config is not None:
-                with _TRACER.span("drain_vector"):
-                    self._drain_batch_vector(
-                        drain_idx, blocks_a, locals_a, homes_a, caches_a,
-                        writes_a, sets_a, stamps_a, kernel_state,
-                        vector_config,
-                    )
-            else:
-                with _TRACER.span("drain_scalar"):
-                    self._drain_batch(
-                        drain_idx, blocks_a, locals_a, homes_a, caches_a,
-                        writes_a, sets_a, stamps_a, kernel_state,
-                    )
-        # Settle the per-cache clocks once for the whole chunk (stamps were
-        # written as precomputed values, never via clock increments).
-        counts_list = cache_counts.tolist()
-        for cache_id in range(num_tracked):
-            if counts_list[cache_id]:
-                tracked[cache_id].advance_clock(counts_list[cache_id])
 
     def _drain_vector_config(self) -> Optional[tuple]:
         """Support decision for the vectorized drain, resolved once.
 
-        Returns ``None`` when ``DEFAULT_DRAIN_PIPELINE`` is ``"scalar"``
-        or any slice has no drain handles (:class:`~repro.directories.
-        base.DrainHandles`: stash variants, skewed and tagless
-        organizations, sharer encodings other than the full bit vector),
+        Returns ``None`` when :meth:`_drain_refusal_reason` names a reason,
         else a one-element tuple: whether every slice reports the same
         ``batch_key``, so the candidate-row pre-pass runs once over the
-        whole chunk instead of once per home.  A refusal's reason is kept
+        whole slice instead of once per home.  A refusal's reason is kept
         in :attr:`drain_vector_refusal`, counted as
         ``sim.drain.vector_refused`` and logged, once per system.  The
-        directories never change after construction, so the decision is
-        cached; the handles themselves (stats objects are replaced by
-        ``reset_stats``) are re-fetched on every drained chunk.
+        directories and caches never change organization after
+        construction, so the decision is cached; the handles themselves
+        (stats objects are replaced by ``reset_stats``) are re-fetched on
+        every drained slice.
         """
         support = self._drain_vector_support
         if support is None:
@@ -846,9 +533,18 @@ class TiledCMP:
         return support or None
 
     def _drain_refusal_reason(self) -> Optional[str]:
-        """Why the vectorized drain cannot serve this system, or ``None``."""
-        if DEFAULT_DRAIN_PIPELINE == "scalar":
-            return "DEFAULT_DRAIN_PIPELINE is 'scalar'"
+        """Why the vectorized drain cannot serve this system, or ``None``.
+
+        The drain writes precomputed LRU stamps straight into the caches'
+        stamp arrays, so every tracked cache and L2 bank must keep inline
+        LRU recency; every directory slice must expose drain handles.
+        """
+        for cache in self._tracked + (self._l2_banks or []):
+            if not cache.lru_inline:
+                return (
+                    f"cache {cache.name}: replacement policy "
+                    f"{type(cache._policy).__name__} has no inline LRU"
+                )
         for slice_id, directory in enumerate(self._directories):
             getter = getattr(directory, "drain_handles", None)
             if getter is not None and getter() is not None:
@@ -864,690 +560,49 @@ class TiledCMP:
         """Why the vectorized drain was refused (``None`` unless refused)."""
         return self._drain_vector_refusal
 
-    def _drain_bundles(self) -> Optional[List[DrainHandles]]:
-        """Every slice's drain handles, or ``None`` if any slice has none."""
-        bundles = []
-        for directory in self._directories:
-            getter = getattr(directory, "drain_handles", None)
-            bundle = getter() if getter is not None else None
-            if bundle is None:
-                return None
-            bundles.append(bundle)
-        return bundles
-
-    def _drain_batch(
-        self,
-        drain_idx: np.ndarray,
-        blocks_a: np.ndarray,
-        locals_a: np.ndarray,
-        homes_a: np.ndarray,
-        caches_a: np.ndarray,
-        writes_a: np.ndarray,
-        sets_a: np.ndarray,
-        stamps_a: np.ndarray,
-        kernel_state: Optional[Tuple[np.ndarray, ...]],
-    ) -> None:
-        """Replay the chunk's conflicted accesses through the MESI protocol.
-
-        This is the scalar half of the whole-chunk kernel: the protocol
-        of :meth:`_access_block` and its handlers, inlined over the
-        caches' flat arrays with the chunk's precomputed stamps (clock
-        bumps happen once per chunk in the caller).  Statistics accumulate
-        in chunk-local counters and flush once at the end.
-
-        Two hazards connect the drain back to the already-retired kernel
-        hits, both rare and both handled by *rollback + re-injection*
-        (undo the retired stamp/counter exactly, then splice the access
-        into the worklist at its trace position for scalar replay):
-
-        * a **forced invalidation** (cut-off directory insertion walk)
-          victimises an arbitrary block, possibly one with retired kernel
-          hits at later trace positions;
-        * a **re-injected access that fills** lands in a set the kernel
-          already stamped "ahead of time" — its victim selection must see
-          recency as of its own trace position, so later retired hits in
-          that (cache, set) are rolled back (and re-injected) first.
-
-        Every other interaction is excluded by the conflict-group
-        partition (see :meth:`_access_batch_vector`).
-        """
-        # One worklist entry per drained access, ordered by trace position
-        # (the unique first element, so re-injection can bisect on it):
-        # (pos, block, local, home, cache, write, set, stamp, reinjected).
-        count = len(drain_idx)
-        _DRAIN_SCALAR.add(count)
-        work = list(
-            zip(
-                drain_idx.tolist(),
-                blocks_a[drain_idx].tolist(),
-                locals_a[drain_idx].tolist(),
-                homes_a[drain_idx].tolist(),
-                caches_a[drain_idx].tolist(),
-                writes_a[drain_idx].tolist(),
-                sets_a[drain_idx].tolist(),
-                stamps_a[drain_idx].tolist(),
-                (False,) * count,
-            )
-        )
-
-        tracked = self._tracked
-        num_tracked = len(tracked)
-        num_ways = tracked[0].num_ways
-        num_slices = self._num_slices
-        directories = self._directories
-        core_of = self._core_of
-        hop_table = self._hop_table
-        track = self._track_traffic
-        traffic = self._traffic
-        messages = traffic.messages
-        hops_acc = 0
-        bytes_acc = 0
-        locations = [cache._location for cache in tracked]
-        tags_of = [cache._tags for cache in tracked]
-        states_of = [cache._states for cache in tracked]
-        dirty_of = [cache._dirty for cache in tracked]
-        stamps_of = [cache._stamps for cache in tracked]
-        counts_of = [cache._set_counts for cache in tracked]
-        # One-subscript bundle per cache for the per-access unpack.
-        cache_arrs = list(
-            zip(locations, tags_of, states_of, dirty_of, stamps_of, counts_of)
-        )
-        hit_delta = [0] * num_tracked
-        miss_delta = [0] * num_tracked
-        evict_delta = [0] * num_tracked
-        dirty_evict_delta = [0] * num_tracked
-
-        banks = self._l2_banks
-        if banks is not None:
-            num_banks = len(banks)
-            bank_sets = banks[0].num_sets
-            bank_ways = banks[0].num_ways
-            bank_location = [bank._location for bank in banks]
-            bank_tags = [bank._tags for bank in banks]
-            bank_states = [bank._states for bank in banks]
-            bank_dirty = [bank._dirty for bank in banks]
-            bank_stamps = [bank._stamps for bank in banks]
-            bank_counts = [bank._set_counts for bank in banks]
-            bank_arrs = list(
-                zip(
-                    bank_location, bank_tags, bank_states,
-                    bank_dirty, bank_stamps, bank_counts,
-                )
-            )
-            bank_clock = [bank.clock for bank in banks]
-            bank_hit_delta = [0] * num_banks
-            bank_miss_delta = [0] * num_banks
-            bank_evict_delta = [0] * num_banks
-            bank_dirty_evict_delta = [0] * num_banks
-
-        # Inlined-directory fast path: when every slice exposes drain
-        # handles (DrainHandles), the drain manipulates the slots and the
-        # sharer masks directly and flushes statistics once per chunk;
-        # only insertion calls back into the organization.  Any other
-        # organization keeps the method-call path.
-        num_homes = len(directories)
-        bundles = self._drain_bundles()
-        fast = bundles is not None
-        if fast:
-            d_loc = [b.locator for b in bundles]
-            d_keys = [b.keys for b in bundles]
-            d_val = [b.values for b in bundles]
-            d_stamps = [b.stamps for b in bundles]
-            d_tick = [b.tick for b in bundles]
-            d_pool = [b.sharer_pool for b in bundles]
-            d_ins = [b.insert for b in bundles]
-            # Chunk-local directory counters, one per slice, flushed at the
-            # end: lookups / hits, single-attempt insertions, sharer
-            # additions / removals, entry removals and invalidate-all
-            # operations.  Misses and the bit read/write totals are linear
-            # in these (misses = lookups − hits; every lookup reads the
-            # way tags, every hit reads and every sharer add/remove writes
-            # one payload, every single-attempt insertion writes one
-            # entry), so they are derived at flush instead of accumulated
-            # per operation; walks and victimising insertions record their
-            # own statistics.
-            a_lk = [0] * num_homes
-            a_lh = [0] * num_homes
-            a_i1 = [0] * num_homes
-            a_sa = [0] * num_homes
-            a_sr = [0] * num_homes
-            a_er = [0] * num_homes
-            a_io = [0] * num_homes
-        # Chunk-local message counters (flushed into traffic.messages once).
-        n_getS = n_getM = n_data = n_inv = n_ack = 0
-        n_putM = n_putS = n_fwd = 0
-
-        if kernel_state is not None:
-            (
-                kern_pos, kern_cache, kern_frame, kern_block, kern_set,
-                kern_write, kern_stamp, kern_old, kern_alive,
-            ) = kernel_state
-        else:
-            kern_alive = None
-        index = 0
-        pos = 0
-        rollback_total = 0
-
-        def rollback(mask: np.ndarray) -> None:
-            # Undo retired kernel hits made stale by an unpredictable event
-            # and re-inject them into the worklist for in-order replay.
-            nonlocal rollback_total
-            for j in np.flatnonzero(mask).tolist():
-                rollback_total += 1
-                kern_alive[j] = False
-                r_cache = int(kern_cache[j])
-                r_frame = int(kern_frame[j])
-                r_block = int(kern_block[j])
-                r_pos = int(kern_pos[j])
-                hit_delta[r_cache] -= 1
-                # Restore the frame's stamp to its value as of the current
-                # drain position: the newest still-retired stamp, or the
-                # pre-chunk stamp captured at retirement.
-                siblings = (
-                    kern_alive & (kern_cache == r_cache) & (kern_frame == r_frame)
-                )
-                if siblings.any():
-                    stamps_of[r_cache][r_frame] = int(kern_stamp[siblings].max())
-                else:
-                    family = np.flatnonzero(
-                        (kern_cache == r_cache) & (kern_frame == r_frame)
-                    )
-                    earliest = family[np.argmin(kern_pos[family])]
-                    stamps_of[r_cache][r_frame] = int(kern_old[earliest])
-                insert_at = bisect_right(work, (r_pos,), index + 1)
-                work.insert(
-                    insert_at,
-                    (
-                        r_pos,
-                        r_block,
-                        r_block // num_slices,
-                        r_block % num_slices,
-                        r_cache,
-                        bool(kern_write[j]),
-                        int(kern_set[j]),
-                        int(kern_stamp[j]),
-                        True,
-                    ),
-                )
-
-        record = self._record
-
-        def apply_forced(
-            invalidations: Sequence[Invalidation], victim_home: int
-        ) -> None:
-            # Same semantics as _apply_forced_invalidations, plus the
-            # kernel-hit rollback scan per victimised (cache, block).
-            for invalidation in invalidations:
-                victim_block = invalidation.address * num_slices + victim_home
-                for sharer in invalidation.caches:
-                    record(_INVALIDATE, victim_home, core_of[sharer])
-                    if kern_alive is not None:
-                        mask = (
-                            kern_alive
-                            & (kern_cache == sharer)
-                            & (kern_block == victim_block)
-                            & (kern_pos > pos)
-                        )
-                        if mask.any():
-                            rollback(mask)
-                    tracked[sharer].invalidate(victim_block)
-                    record(_INV_ACK, core_of[sharer], victim_home)
-
-        def insert_new(home: int, local_addr: int, mask: int) -> None:
-            # A pooled sharer set, then the organization's insert step
-            # (DrainHandles.insert): a vacant placement is accounted here,
-            # a walk or victimisation accounts itself.
-            pool = d_pool[home]
-            if pool:
-                sharer_set = pool.pop()
-            else:
-                sharer_set = FullBitVector(num_tracked)
-            sharer_set._mask = mask
-            forced = d_ins[home](local_addr, sharer_set, None)
-            if forced is None:
-                a_i1[home] += 1
-            elif forced:
-                apply_forced(forced, home)
-
-        def acquire_excl(
-            local_addr: int, home: int, block: int, cache_id: int,
-            reinjected: bool,
-        ) -> None:
-            # Inlined acquire_exclusive plus the drain's
-            # per-invalidated-sharer traffic/rollback handling.
-            nonlocal hops_acc, bytes_acc, n_inv, n_ack
-            a_lk[home] += 1
-            wbit = 1 << cache_id
-            loc = d_loc[home].get(local_addr)
-            if loc is None:
-                insert_new(home, local_addr, wbit)
-                return
-            a_lh[home] += 1
-            way, idx = loc
-            sharer_set = d_val[home][way][idx]
-            prior = sharer_set._mask
-            a_sa[home] += 1
-            if d_stamps[home] is not None:
-                d_stamps[home][way][idx] = d_tick[home]()
-            others = prior & ~wbit
-            if not others:
-                sharer_set._mask = prior | wbit
-                return
-            sharer_set._mask = wbit
-            a_io[home] += 1
-            a_sr[home] += bin(others).count("1")
-            while others:
-                low = others & -others
-                others -= low
-                sharer = low.bit_length() - 1
-                if track:
-                    sharer_core = core_of[sharer]
-                    n_inv += 1
-                    hops_acc += hop_table[home][sharer_core]
-                    bytes_acc += _INVALIDATE_BYTES
-                    n_ack += 1
-                    hops_acc += hop_table[sharer_core][home]
-                    bytes_acc += _INV_ACK_BYTES
-                if reinjected and kern_alive is not None:
-                    stale = (
-                        kern_alive
-                        & (kern_cache == sharer)
-                        & (kern_block == block)
-                        & (kern_pos > pos)
-                    )
-                    if stale.any():
-                        rollback(stale)
-                tracked[sharer].invalidate(block)
-
-        while index < len(work):
-            (
-                pos, block, local_addr, home, cache_id,
-                is_write, set_index, stamp, reinjected,
-            ) = work[index]
-            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
-            frame = location.get(block)
-            if frame is not None:
-                # Hit: stamp recency, then any write-upgrade protocol.
-                hit_delta[cache_id] += 1
-                stamps[frame] = stamp
-                if is_write:
-                    dirty[frame] = True
-                    state = states[frame]
-                    if state != STATE_MODIFIED:
-                        if state == STATE_EXCLUSIVE:
-                            # Silent E -> M upgrade; no directory traffic.
-                            states[frame] = STATE_MODIFIED
-                        else:
-                            # S -> M: the home invalidates the other sharers.
-                            core = core_of[cache_id]
-                            if track:
-                                n_getM += 1
-                                hops_acc += hop_table[core][home]
-                                bytes_acc += _GET_MODIFIED_BYTES
-                            if fast:
-                                acquire_excl(
-                                    local_addr, home, block, cache_id,
-                                    reinjected,
-                                )
-                            else:
-                                result = directories[home].acquire_exclusive(
-                                    local_addr, cache_id
-                                )
-                                for sharer in result.coherence_invalidations:
-                                    if sharer == cache_id:
-                                        continue
-                                    sharer_core = core_of[sharer]
-                                    if track:
-                                        n_inv += 1
-                                        hops_acc += hop_table[home][sharer_core]
-                                        bytes_acc += _INVALIDATE_BYTES
-                                        n_ack += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _INV_ACK_BYTES
-                                    if reinjected and kern_alive is not None:
-                                        mask = (
-                                            kern_alive
-                                            & (kern_cache == sharer)
-                                            & (kern_block == block)
-                                            & (kern_pos > pos)
-                                        )
-                                        if mask.any():
-                                            rollback(mask)
-                                    tracked[sharer].invalidate(block)
-                                if result.invalidations:
-                                    apply_forced(result.invalidations, home)
-                            states[frame] = STATE_MODIFIED
-                index += 1
-                continue
-
-            # Miss: bank model, directory protocol, inline fill.
-            miss_delta[cache_id] += 1
-            if banks is not None:
-                (
-                    b_location, b_tags, b_states,
-                    b_dirty, b_stamps, b_counts,
-                ) = bank_arrs[home]
-                b_clock = bank_clock[home] + 1
-                bank_clock[home] = b_clock
-                b_frame = b_location.get(block)
-                if b_frame is not None:
-                    bank_hit_delta[home] += 1
-                    b_stamps[b_frame] = b_clock
-                    if is_write:
-                        b_dirty[b_frame] = True
-                else:
-                    bank_miss_delta[home] += 1
-                    b_set = block % bank_sets
-                    b_base = b_set * bank_ways
-                    if b_counts[b_set] < bank_ways:
-                        b_frame = b_tags.index(-1, b_base, b_base + bank_ways)
-                        b_counts[b_set] += 1
-                    else:
-                        b_row = b_stamps[b_base : b_base + bank_ways]
-                        b_frame = b_base + b_row.index(min(b_row))
-                        bank_evict_delta[home] += 1
-                        if b_dirty[b_frame]:
-                            bank_dirty_evict_delta[home] += 1
-                        del b_location[b_tags[b_frame]]
-                    b_tags[b_frame] = block
-                    b_states[b_frame] = STATE_SHARED
-                    b_dirty[b_frame] = False
-                    b_stamps[b_frame] = b_clock
-                    b_location[block] = b_frame
-            core = core_of[cache_id]
-            hop_row = hop_table[core]
-            if is_write:
-                if track:
-                    n_getM += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += _GET_MODIFIED_BYTES
-                if fast:
-                    acquire_excl(
-                        local_addr, home, block, cache_id, reinjected
-                    )
-                else:
-                    result = directories[home].acquire_exclusive(
-                        local_addr, cache_id
-                    )
-                    for sharer in result.coherence_invalidations:
-                        if sharer == cache_id:
-                            continue
-                        sharer_core = core_of[sharer]
-                        if track:
-                            n_inv += 1
-                            hops_acc += hop_table[home][sharer_core]
-                            bytes_acc += _INVALIDATE_BYTES
-                            n_ack += 1
-                            hops_acc += hop_table[sharer_core][home]
-                            bytes_acc += _INV_ACK_BYTES
-                        if reinjected and kern_alive is not None:
-                            mask = (
-                                kern_alive
-                                & (kern_cache == sharer)
-                                & (kern_block == block)
-                                & (kern_pos > pos)
-                            )
-                            if mask.any():
-                                rollback(mask)
-                        tracked[sharer].invalidate(block)
-                    if result.invalidations:
-                        apply_forced(result.invalidations, home)
-                new_state = STATE_MODIFIED
-                fill_dirty = True
-            else:
-                if track:
-                    n_getS += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += _GET_SHARED_BYTES
-                if fast:
-                    # Inlined lookup_add plus the drain's M/E-owner
-                    # downgrade scan over the prior-sharer mask.
-                    a_lk[home] += 1
-                    loc = d_loc[home].get(local_addr)
-                    if loc is not None:
-                        a_lh[home] += 1
-                        way, idx = loc
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        wbit = 1 << cache_id
-                        sharer_set._mask = prior | wbit
-                        a_sa[home] += 1
-                        if d_stamps[home] is not None:
-                            d_stamps[home][way][idx] = d_tick[home]()
-                        remaining = prior & ~wbit
-                        while remaining:
-                            low = remaining & -remaining
-                            remaining -= low
-                            sharer = low.bit_length() - 1
-                            owner_frame = locations[sharer].get(block)
-                            if owner_frame is None:
-                                continue
-                            owner_states = states_of[sharer]
-                            owner_state = owner_states[owner_frame]
-                            if owner_state >= STATE_EXCLUSIVE:
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_fwd += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += _FWD_GET_BYTES
-                                    if owner_state == STATE_MODIFIED:
-                                        n_putM += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _PUT_MODIFIED_BYTES
-                                owner_states[owner_frame] = STATE_SHARED
-                        new_state = STATE_SHARED
-                    else:
-                        # Directory miss on a read: allocate the entry with
-                        # this cache as the sole (Exclusive) sharer.
-                        insert_new(home, local_addr, 1 << cache_id)
-                        new_state = STATE_EXCLUSIVE
-                else:
-                    entry_found, prior_sharers, result = directories[
-                        home
-                    ].lookup_add(local_addr, cache_id)
-                    if entry_found:
-                        # Downgrade an M/E owner among the prior sharers.
-                        for sharer in prior_sharers:
-                            if sharer == cache_id:
-                                continue
-                            owner_frame = locations[sharer].get(block)
-                            if owner_frame is None:
-                                continue
-                            owner_states = states_of[sharer]
-                            owner_state = owner_states[owner_frame]
-                            if owner_state >= STATE_EXCLUSIVE:
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_fwd += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += _FWD_GET_BYTES
-                                    if owner_state == STATE_MODIFIED:
-                                        n_putM += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _PUT_MODIFIED_BYTES
-                                owner_states[owner_frame] = STATE_SHARED
-                        new_state = STATE_SHARED
-                    else:
-                        new_state = STATE_EXCLUSIVE
-                    if result.invalidations:
-                        apply_forced(result.invalidations, home)
-                fill_dirty = False
-            if track:
-                n_data += 1
-                hops_acc += hop_table[home][core]
-                bytes_acc += _DATA_BYTES
-
-            # Inline fill: the exact-stamp twin of fill_miss_code.
-            if reinjected and kern_alive is not None:
-                mask = (
-                    kern_alive
-                    & (kern_cache == cache_id)
-                    & (kern_set == set_index)
-                    & (kern_pos > pos)
-                )
-                if mask.any():
-                    rollback(mask)
-            base = set_index * num_ways
-            if counts[set_index] < num_ways:
-                frame = tags.index(-1, base, base + num_ways)
-                counts[set_index] += 1
-            else:
-                if num_ways == 2:
-                    frame = (
-                        base
-                        if stamps[base] <= stamps[base + 1]
-                        else base + 1
-                    )
-                else:
-                    row = stamps[base : base + num_ways]
-                    frame = base + row.index(min(row))
-                victim = tags[frame]
-                victim_dirty = dirty[frame]
-                evict_delta[cache_id] += 1
-                if victim_dirty:
-                    dirty_evict_delta[cache_id] += 1
-                del location[victim]
-                victim_home = victim % num_slices
-                if track:
-                    hops_acc += hop_row[victim_home]
-                    if victim_dirty:
-                        n_putM += 1
-                        bytes_acc += _PUT_MODIFIED_BYTES
-                    else:
-                        n_putS += 1
-                        bytes_acc += _PUT_SHARED_BYTES
-                if fast:
-                    # Inlined remove_sharer (evict notify).
-                    victim_local = victim // num_slices
-                    loc = d_loc[victim_home].get(victim_local)
-                    if loc is not None:
-                        way, idx = loc
-                        sharer_set = d_val[victim_home][way][idx]
-                        remaining = sharer_set._mask & ~(1 << cache_id)
-                        sharer_set._mask = remaining
-                        a_sr[victim_home] += 1
-                        if not remaining:
-                            del d_loc[victim_home][victim_local]
-                            d_keys[victim_home][way][idx] = -1
-                            d_val[victim_home][way][idx] = None
-                            a_er[victim_home] += 1
-                            d_pool[victim_home].append(sharer_set)
-                else:
-                    directories[victim_home].remove_sharer(
-                        victim // num_slices, cache_id
-                    )
-            tags[frame] = block
-            states[frame] = new_state
-            dirty[frame] = fill_dirty
-            stamps[frame] = stamp
-            location[block] = frame
-            index += 1
-
-        # Flush the chunk-local counters.
-        for cache_id in range(num_tracked):
-            if hit_delta[cache_id] or miss_delta[cache_id] or evict_delta[cache_id]:
-                stats = tracked[cache_id]._stats
-                stats.hits += hit_delta[cache_id]
-                stats.misses += miss_delta[cache_id]
-                stats.evictions += evict_delta[cache_id]
-                stats.dirty_evictions += dirty_evict_delta[cache_id]
-        if banks is not None:
-            for bank_id in range(num_banks):
-                bank = banks[bank_id]
-                bank._clock = bank_clock[bank_id]
-                stats = bank._stats
-                stats.hits += bank_hit_delta[bank_id]
-                stats.misses += bank_miss_delta[bank_id]
-                stats.evictions += bank_evict_delta[bank_id]
-                stats.dirty_evictions += bank_dirty_evict_delta[bank_id]
-        if fast:
-            for home in range(num_homes):
-                lk = a_lk[home]
-                sr = a_sr[home]
-                if lk or sr:
-                    lh = a_lh[home]
-                    sa = a_sa[home]
-                    i1 = a_i1[home]
-                    bundle = bundles[home]
-                    payload_bits = bundle.payload_bits
-                    stats = bundle.stats
-                    stats.lookups += lk
-                    stats.lookup_hits += lh
-                    stats.lookup_misses += lk - lh
-                    stats.sharer_additions += sa
-                    stats.sharer_removals += sr
-                    stats.entry_removals += a_er[home]
-                    stats.invalidate_all_operations += a_io[home]
-                    stats.bits_read += (
-                        lk * bundle.lookup_bits + lh * payload_bits
-                    )
-                    stats.bits_written += (
-                        (sa + sr) * payload_bits + i1 * bundle.entry_bits
-                    )
-                    if i1:
-                        stats.insertions += i1
-                        stats.insertion_attempts += i1
-                        stats.attempt_histogram[1] += i1
-        if track:
-            if n_getS:
-                messages[_GET_SHARED] += n_getS
-            if n_getM:
-                messages[_GET_MODIFIED] += n_getM
-            if n_data:
-                messages[_DATA] += n_data
-            if n_inv:
-                messages[_INVALIDATE] += n_inv
-            if n_ack:
-                messages[_INV_ACK] += n_ack
-            if n_putM:
-                messages[_PUT_MODIFIED] += n_putM
-            if n_putS:
-                messages[_PUT_SHARED] += n_putS
-            if n_fwd:
-                messages[_FWD_GET] += n_fwd
-            traffic.hops += hops_acc
-            traffic.bytes_transferred += bytes_acc
-        if rollback_total:
-            _BATCH_ROLLBACKS.add(rollback_total)
+    def _drain_bundles(self) -> List[DrainHandles]:
+        """Every slice's drain handles (the caller checked they exist)."""
+        return [directory.drain_handles() for directory in self._directories]
 
     def _drain_batch_vector(
         self,
-        drain_idx: np.ndarray,
         blocks_a: np.ndarray,
         locals_a: np.ndarray,
         homes_a: np.ndarray,
         caches_a: np.ndarray,
         writes_a: np.ndarray,
-        sets_a: np.ndarray,
-        stamps_a: np.ndarray,
-        kernel_state: Optional[Tuple[np.ndarray, ...]],
         vector_config: tuple,
     ) -> None:
-        """Vectorized drain pipeline (DESIGN.md "The batched miss drain").
+        """Vectorized drain (DESIGN.md "The vectorized drain pipeline").
 
-        Bit-identical to :meth:`_drain_batch`, restructured around a
-        numpy pre-pass so the per-access protocol loop touches no hash
-        function, no hop table, no bank model and almost no traffic or
+        Runs a whole translated slice through the protocol of
+        :meth:`_access_block` and its handlers, bit-identically, restructured
+        around a numpy pre-pass so the per-access protocol loop touches no
+        hash function, no hop table, no bank model and almost no traffic or
         statistics bookkeeping:
 
-        * **Candidate rows.**  Every drained block's slice-local address
-          gets its insertion row in one vectorized call
-          (``DrainHandles.candidate_rows``: the hash family's
-          ``batch_indices`` for cuckoo, ``local % num_sets`` for sparse)
-          — one call for the whole chunk when every slice reports the
-          same batch key, else one per home group.  The insert step then
-          reads the precomputed row instead of hashing per access.
+        * **Exact LRU stamps.**  Every access advances its cache's clock by
+          exactly one, so the stamp an access writes is the clock at entry
+          plus its rank among that cache's accesses in the slice,
+          independent of interleaving.  Stamps are computed for the whole
+          slice up front and the clocks are settled once at the end.
+        * **Candidate rows.**  Every slice-local address gets its insertion
+          row in one vectorized call (``DrainHandles.candidate_rows``: the
+          hash family's ``batch_indices`` for cuckoo, ``local % num_sets``
+          for sparse) — one call for the whole slice when every directory
+          slice reports the same batch key, else one per home group.  The
+          insert step then reads the precomputed row instead of hashing.
         * **All-miss accounting.**  Traffic (request + response hops,
           message counts, bytes), per-home directory lookups and per-cache
-          miss counts are computed vectorized under the assumption that
-          every drained access misses — the common case by construction,
-          since the kernel only demotes conflicted hits.  The hit branch
-          then *corrects* the assumption (one subtraction per hit) instead
-          of every miss paying per-access accounting.
+          miss counts are accounted as if every access missed; the hit
+          branch only marks its outcome in a byte per access, and one
+          vectorized pass after the loop takes the hits back out of the
+          baselines.  Neither misses nor hits pay per-access accounting.
         * **Bank decoupling.**  The shared-L2 bank model reads nothing
           from the protocol and feeds nothing back into it, so bank
-          updates are recorded as ``(block, home, write)`` events in trace
-          order and replayed in a dedicated pass after the protocol loop.
+          updates are recorded as ``(block, write)`` events per home in
+          trace order and replayed in a dedicated pass after the protocol
+          loop.
 
         Every organization with drain handles (:class:`~repro.directories.
         base.DrainHandles`: the cuckoo and set-associative directories)
@@ -1559,18 +614,12 @@ class TiledCMP:
         organization's ``insert`` step, which receives the pre-pass
         candidate row (cuckoo: per-way hash indices; sparse: the set).
 
-        Trace order is preserved throughout — conflicting accesses
-        (same block, same (cache, set), same directory slot) simply
-        execute in their original relative order, which makes the
-        reordering-safety argument trivial — and the rollback +
-        re-injection machinery for forced invalidations carries over
-        unchanged: re-injected accesses are rare by construction and
-        replay through the scalar ``process_one`` closure (full live
-        accounting, live candidate rows and hop lookups) at their exact
-        trace position.  Insertions without a vacant slot (cuckoo walks,
-        LRU victims) and write upgrades with remote sharers stay on the
-        helper paths by construction; organizations without drain
-        handles never reach this method (:meth:`_drain_vector_config`).
+        The loop runs in trace order, so conflicting accesses (same block,
+        same (cache, set), same directory slot) execute in their original
+        relative order, and a forced invalidation (a cut-off cuckoo walk
+        or an LRU victim) simply takes effect before every later access.
+        Organizations without drain handles never reach this method
+        (:meth:`_drain_vector_config`).
         """
         (shared_rows,) = vector_config
         # Module-level protocol constants rebound as locals: the loop
@@ -1579,6 +628,8 @@ class TiledCMP:
         state_m = STATE_MODIFIED
         state_e = STATE_EXCLUSIVE
         state_s = STATE_SHARED
+        hit_silent = _HIT_SILENT
+        hit_upgrade = _HIT_UPGRADE
         bitvec_cls = FullBitVector
         putm_bytes = _PUT_MODIFIED_BYTES
         puts_bytes = _PUT_SHARED_BYTES
@@ -1590,6 +641,7 @@ class TiledCMP:
         data_bytes = _DATA_BYTES
         tracked = self._tracked
         num_tracked = len(tracked)
+        num_sets = tracked[0].num_sets
         num_ways = tracked[0].num_ways
         num_slices = self._num_slices
         directories = self._directories
@@ -1607,11 +659,11 @@ class TiledCMP:
         dirty_of = [cache._dirty for cache in tracked]
         stamps_of = [cache._stamps for cache in tracked]
         counts_of = [cache._set_counts for cache in tracked]
+        # One-subscript bundle per cache for the per-miss unpack.
         cache_arrs = list(
             zip(locations, tags_of, states_of, dirty_of, stamps_of, counts_of)
         )
         locations_get = [location.get for location in locations]
-        hit_delta = [0] * num_tracked
         evict_delta = [0] * num_tracked
         dirty_evict_delta = [0] * num_tracked
 
@@ -1628,72 +680,76 @@ class TiledCMP:
         d_pool = [b.sharer_pool for b in bundles]
         d_ins = [b.insert for b in bundles]
         d_loc_get = [locator.get for locator in d_loc]
-        # Sharer additions are derived at flush instead of tracked
-        # in-loop: they equal lookup hits (every drain path that finds an
-        # entry adds a sharer bit).
+        # Local directory counters, one per directory slice, flushed at the
+        # end: lookup hits, single-attempt insertions, sharer removals,
+        # entry removals and invalidate-all operations (lookups come from
+        # the all-miss baseline).  Misses, sharer additions and the bit
+        # read/write totals are linear in these (misses = lookups − hits;
+        # every drain path that finds an entry adds a sharer bit; every
+        # lookup reads the way tags, every hit reads and every sharer
+        # add/remove writes one payload, every single-attempt insertion
+        # writes one entry), so they are derived at flush; walks and
+        # victimising insertions record their own statistics.
         a_lh = [0] * num_homes
         a_i1 = [0] * num_homes
         a_sr = [0] * num_homes
         a_er = [0] * num_homes
         a_io = [0] * num_homes
         # Live traffic counters: only the unpredictable events (evictions,
-        # invalidations, owner downgrades) and re-injected accesses add to
-        # these in-loop; the all-miss baseline below covers the rest.
-        n_getS = n_getM = n_data = n_inv = n_ack = 0
-        n_putM = n_putS = n_fwd = 0
+        # invalidations, owner downgrades) add to these in-loop; the
+        # all-miss baseline below covers the rest.
+        n_inv = n_ack = n_putM = n_putS = n_fwd = 0
         # Per-class retirement counters (sim.drain.*): in-branch for the
         # cheap-to-count classes, derived at flush for the rest.
-        n_rdh = n_walk = n_reinj = 0
-        rh = cw = s_up = 0
-        hops_corr = 0
-        p1_hit = p1_up = p1_rm = p1_wm = 0
+        n_rdh = n_walk = 0
 
         # -- vectorized pre-pass -------------------------------------------
-        count = int(drain_idx.size)
-        d_local_a = locals_a[drain_idx]
-        d_home_a = homes_a[drain_idx]
-        d_cache_a = caches_a[drain_idx]
-        d_write_a = writes_a[drain_idx]
-        d_sets_a = sets_a[drain_idx]
-        dp = drain_idx.tolist()
-        db = blocks_a[drain_idx].tolist()
-        dl = d_local_a.tolist()
-        dh = d_home_a.tolist()
-        dc = d_cache_a.tolist()
-        dw = d_write_a.tolist()
-        ds = d_sets_a.tolist()
-        dbase = (d_sets_a * num_ways).tolist()
-        dst = stamps_a[drain_idx].tolist()
-        # (1) Candidate insertion rows of every drained slice-local address
-        # (batch hashing across all ways for cuckoo, the set for sparse).
+        count = int(blocks_a.size)
+        # (1) Exact per-access stamps: group accesses by cache and rank
+        # within the group.
+        clock0 = np.fromiter(
+            (cache.clock for cache in tracked), dtype=np.int64, count=num_tracked
+        )
+        cache_counts = np.bincount(caches_a, minlength=num_tracked)
+        order = np.argsort(caches_a, kind="stable")
+        group_starts = np.cumsum(cache_counts) - cache_counts
+        ranks = np.arange(count, dtype=np.int64) - np.repeat(
+            group_starts, cache_counts
+        )
+        stamps_a = np.empty(count, dtype=np.int64)
+        stamps_a[order] = clock0[caches_a[order]] + ranks + 1
+        sets_a = blocks_a % num_sets
+        db = blocks_a.tolist()
+        dl = locals_a.tolist()
+        dh = homes_a.tolist()
+        dc = caches_a.tolist()
+        dw = writes_a.tolist()
+        ds = sets_a.tolist()
+        dbase = (sets_a * num_ways).tolist()
+        dst = stamps_a.tolist()
+        # (2) Candidate insertion rows of every slice-local address (batch
+        # hashing across all ways for cuckoo, the set for sparse).
         if shared_rows:
-            cand_rows: List = bundles[0].candidate_rows(d_local_a)
+            cand_rows: List = bundles[0].candidate_rows(locals_a)
         else:
             cand_rows = [None] * count
-            order = np.argsort(d_home_a, kind="stable")
-            sorted_homes = d_home_a[order]
-            boundaries = np.flatnonzero(np.diff(sorted_homes)) + 1
+            order = np.argsort(homes_a, kind="stable")
+            boundaries = np.flatnonzero(np.diff(homes_a[order])) + 1
             for group in np.split(order, boundaries):
-                home_g = int(d_home_a[group[0]])
-                rows = bundles[home_g].candidate_rows(d_local_a[group])
+                home_g = int(homes_a[group[0]])
+                rows = bundles[home_g].candidate_rows(locals_a[group])
                 for offset, member in enumerate(group.tolist()):
                     cand_rows[member] = rows[offset]
-        # (2) Gather request/response hop counts for the whole chunk.
+        # (3) Request/response hop counts for the whole slice.
         hop_matrix = self._hop_matrix
-        d_core_a = (d_cache_a >> 1) if self._l1_tracked else d_cache_a
-        h_req_a = hop_matrix[d_core_a, d_home_a]
-        h_rsp_a = hop_matrix[d_home_a, d_core_a]
-        # One fused request+response hop column: the hit corrections always
-        # need the sum; the lone S->M case recomputes its response hop.
-        h_sum = (h_req_a + h_rsp_a).tolist()
-        # (3) All-miss baselines, corrected per hit in the loop below.
-        writes_total = int(np.count_nonzero(d_write_a))
-        reads_total = count - writes_total
-        if track:
-            hops_base = int(h_req_a.sum()) + int(h_rsp_a.sum())
-        a_lk = np.bincount(d_home_a, minlength=num_homes).tolist()
-        miss_delta = np.bincount(d_cache_a, minlength=num_tracked).tolist()
-        # (4) Bank events accumulate per home in trace order for the replay
+        cores_a = (caches_a >> 1) if self._l1_tracked else caches_a
+        h_req_a = hop_matrix[cores_a, homes_a]
+        h_rsp_a = hop_matrix[homes_a, cores_a]
+        # (4) Hit outcomes, one byte per access: the loop below marks each
+        # hit and the all-miss baselines are corrected from the marks in
+        # one vectorized pass after it.
+        outcome = bytearray(count)
+        # (5) Bank events accumulate per home in trace order for the replay
         # pass — the banks are independent state machines, so each home's
         # event list replays with its bank's arrays bound once.  Events are
         # packed as ``block << 1 | is_write`` to keep the per-miss record a
@@ -1702,112 +758,34 @@ class TiledCMP:
             ev_by_home: List[List[int]] = [[] for _ in banks]
             ev_app = [events.append for events in ev_by_home]
 
-        if kernel_state is not None:
-            (
-                kern_pos, kern_cache, kern_frame, kern_block, kern_set,
-                kern_write, kern_stamp, kern_old, kern_alive,
-            ) = kernel_state
-        else:
-            kern_alive = None
-        pos = 0
-        rollback_total = 0
-        pending: List[tuple] = []
-
-        def rollback(mask: np.ndarray) -> None:
-            # Undo retired kernel hits made stale by an unpredictable event
-            # and re-inject them (sorted by trace position) for replay.
-            nonlocal rollback_total
-            for j in np.flatnonzero(mask).tolist():
-                rollback_total += 1
-                kern_alive[j] = False
-                r_cache = int(kern_cache[j])
-                r_frame = int(kern_frame[j])
-                r_block = int(kern_block[j])
-                r_pos = int(kern_pos[j])
-                hit_delta[r_cache] -= 1
-                siblings = (
-                    kern_alive & (kern_cache == r_cache) & (kern_frame == r_frame)
-                )
-                if siblings.any():
-                    stamps_of[r_cache][r_frame] = int(kern_stamp[siblings].max())
-                else:
-                    family = np.flatnonzero(
-                        (kern_cache == r_cache) & (kern_frame == r_frame)
-                    )
-                    earliest = family[np.argmin(kern_pos[family])]
-                    stamps_of[r_cache][r_frame] = int(kern_old[earliest])
-                insort(
-                    pending,
-                    (
-                        r_pos,
-                        r_block,
-                        r_block // num_slices,
-                        r_block % num_slices,
-                        r_cache,
-                        bool(kern_write[j]),
-                        int(kern_set[j]),
-                        int(kern_stamp[j]),
-                    ),
-                )
-
-        record = self._record
-
-        def apply_forced(
-            invalidations: Sequence[Invalidation], victim_home: int
-        ) -> None:
-            for invalidation in invalidations:
-                victim_block = invalidation.address * num_slices + victim_home
-                for sharer in invalidation.caches:
-                    record(_INVALIDATE, victim_home, core_of[sharer])
-                    if kern_alive is not None:
-                        mask = (
-                            kern_alive
-                            & (kern_cache == sharer)
-                            & (kern_block == victim_block)
-                            & (kern_pos > pos)
-                        )
-                        if mask.any():
-                            rollback(mask)
-                    tracked[sharer].invalidate(victim_block)
-                    record(_INV_ACK, core_of[sharer], victim_home)
-
-        def insert_new(home: int, local_addr: int, mask: int, row) -> None:
-            # A pooled sharer set, then the organization's insert step
-            # with the pre-pass candidate row (None only for re-injected
-            # accesses): a vacant placement is accounted here, a walk or
-            # LRU victimisation accounts itself and reports its forced
-            # invalidation.  The two hot insertion sites of the loop
-            # below inline this.
-            pool = d_pool[home]
-            if pool:
-                sharer_set = pool.pop()
-            else:
-                sharer_set = bitvec_cls(num_tracked)
-            sharer_set._mask = mask
-            forced = d_ins[home](local_addr, sharer_set, row)
-            if forced is None:
-                a_i1[home] += 1
-            else:
-                insert_forced(home, forced)
+        apply_forced = self._apply_forced_invalidations
 
         def insert_forced(home: int, forced: tuple) -> None:
+            # An insertion with no vacant candidate: the organization
+            # accounted its walk or LRU victim and reports the victim's
+            # sharers, which drop their copies now, in trace order.
             nonlocal n_walk
             n_walk += 1
             if forced:
                 apply_forced(forced, home)
 
         def acquire_excl(
-            local_addr: int, home: int, block: int, cache_id: int,
-            reinjected: bool, row,
+            local_addr: int, home: int, block: int, cache_id: int, row
         ) -> None:
-            # Inlined acquire_exclusive, *without* the lookup count: the
-            # all-miss baseline (or the re-injected caller) already
-            # accounts the lookup.
+            # Inlined acquire_exclusive for the S->M upgrade, *without* the
+            # lookup count: the all-miss baseline already accounts it.
             nonlocal hops_acc, bytes_acc, n_inv, n_ack
             wbit = 1 << cache_id
             loc = d_loc[home].get(local_addr)
             if loc is None:
-                insert_new(home, local_addr, wbit, row)
+                pool = d_pool[home]
+                sharer_set = pool.pop() if pool else bitvec_cls(num_tracked)
+                sharer_set._mask = wbit
+                forced = d_ins[home](local_addr, sharer_set, row)
+                if forced is None:
+                    a_i1[home] += 1
+                else:
+                    insert_forced(home, forced)
                 return
             a_lh[home] += 1
             way, idx = loc
@@ -1834,80 +812,94 @@ class TiledCMP:
                     n_ack += 1
                     hops_acc += hop_table[sharer_core][home]
                     bytes_acc += ack_bytes
-                if reinjected and kern_alive is not None:
-                    stale = (
-                        kern_alive
-                        & (kern_cache == sharer)
-                        & (kern_block == block)
-                        & (kern_pos > pos)
-                    )
-                    if stale.any():
-                        rollback(stale)
                 tracked[sharer].invalidate(block)
 
-        def process_one(entry: tuple) -> None:
-            # Scalar replay of one re-injected access (full live
-            # accounting — re-injections are outside the all-miss
-            # baselines), the exact protocol of _drain_batch.
-            nonlocal pos, hops_acc, bytes_acc, n_getS, n_getM, n_data
-            nonlocal n_fwd, n_putM, n_putS
-            nonlocal n_rdh, n_reinj, p1_hit, p1_up, p1_rm, p1_wm
-            n_reinj += 1
-            (
-                pos, block, local_addr, home, cache_id,
-                is_write, set_index, stamp,
-            ) = entry
-            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
-            frame = location.get(block)
+        # -- the protocol loop, in trace order -----------------------------
+        # Direct unpacking in the for header keeps the result tuple's
+        # refcount at one so zip can recycle it instead of allocating a
+        # fresh 10-tuple per access.
+        for (
+            pos, block, local_addr, home, cache_id, is_write,
+            set_index, base, stamp, row,
+        ) in zip(range(count), db, dl, dh, dc, dw, ds, dbase, dst, cand_rows):
+            frame = locations_get[cache_id](block)
             if frame is not None:
-                hit_delta[cache_id] += 1
-                stamps[frame] = stamp
+                # Hit: stamp recency and mark the outcome; a write runs
+                # any upgrade protocol.
+                stamps_of[cache_id][frame] = stamp
                 if is_write:
-                    dirty[frame] = True
-                    state = states[frame]
-                    if state == state_m:
-                        p1_hit += 1
-                    elif state == state_e:
-                        p1_hit += 1
-                        states[frame] = state_m
+                    dirty_of[cache_id][frame] = True
+                    states = states_of[cache_id]
+                    if states[frame] == state_s:
+                        # S -> M: GET_M is sent (the baseline request
+                        # stands) but no DATA comes back.
+                        outcome[pos] = hit_upgrade
+                        acquire_excl(local_addr, home, block, cache_id, row)
                     else:
-                        p1_up += 1
-                        if track:
-                            n_getM += 1
-                            hops_acc += hop_table[core_of[cache_id]][home]
-                            bytes_acc += getm_bytes
-                        a_lk[home] += 1
-                        acquire_excl(
-                            local_addr, home, block, cache_id, True, None
-                        )
-                        states[frame] = state_m
+                        # M, or a silent E -> M upgrade: no directory
+                        # traffic.
+                        outcome[pos] = hit_silent
+                    states[frame] = state_m
                 else:
-                    p1_hit += 1
-                return
-            miss_delta[cache_id] += 1
+                    outcome[pos] = hit_silent
+                continue
+
+            # Miss: queue the bank event, run the directory protocol, fill
+            # inline.  Traffic and lookup counts are covered by the all-miss
+            # baseline.
             if use_banks:
                 ev_app[home](block << 1 | is_write)
-            core = core_of[cache_id]
-            hop_row = hop_table[core]
             if is_write:
-                p1_wm += 1
-                if track:
-                    n_getM += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += getm_bytes
-                a_lk[home] += 1
-                acquire_excl(local_addr, home, block, cache_id, True, None)
+                # Inlined acquire_excl: insertion of an absent entry, or the
+                # writer's bit plus the invalidation fan-out.
+                wbit = 1 << cache_id
+                loc = d_loc_get[home](local_addr)
+                if loc is None:
+                    pool = d_pool[home]
+                    if pool:
+                        sharer_set = pool.pop()
+                    else:
+                        sharer_set = bitvec_cls(num_tracked)
+                    sharer_set._mask = wbit
+                    forced = d_ins[home](local_addr, sharer_set, row)
+                    if forced is None:
+                        a_i1[home] += 1
+                    else:
+                        insert_forced(home, forced)
+                else:
+                    a_lh[home] += 1
+                    way, idx = loc
+                    if d_stamps[home] is not None:
+                        d_stamps[home][way][idx] = d_tick[home]()
+                    sharer_set = d_val[home][way][idx]
+                    prior = sharer_set._mask
+                    others = prior & ~wbit
+                    if not others:
+                        sharer_set._mask = prior | wbit
+                    else:
+                        sharer_set._mask = wbit
+                        a_io[home] += 1
+                        a_sr[home] += bin(others).count("1")
+                        while others:
+                            low = others & -others
+                            others -= low
+                            sharer = low.bit_length() - 1
+                            if track:
+                                sharer_core = core_of[sharer]
+                                n_inv += 1
+                                hops_acc += hop_table[home][sharer_core]
+                                bytes_acc += inv_bytes
+                                n_ack += 1
+                                hops_acc += hop_table[sharer_core][home]
+                                bytes_acc += ack_bytes
+                            tracked[sharer].invalidate(block)
                 new_state = state_m
                 fill_dirty = True
             else:
-                p1_rm += 1
-                if track:
-                    n_getS += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += gets_bytes
-                a_lk[home] += 1
-                loc = d_loc[home].get(local_addr)
+                loc = d_loc_get[home](local_addr)
                 if loc is not None:
+                    # Directory hit: add the sharer bit, downgrade any M/E
+                    # owner among the prior sharers.
                     n_rdh += 1
                     a_lh[home] += 1
                     way, idx = loc
@@ -1918,56 +910,57 @@ class TiledCMP:
                     wbit = 1 << cache_id
                     sharer_set._mask = prior | wbit
                     remaining = prior & ~wbit
-                    while remaining:
-                        low = remaining & -remaining
-                        remaining -= low
-                        sharer = low.bit_length() - 1
-                        owner_frame = locations[sharer].get(block)
-                        if owner_frame is None:
-                            continue
-                        owner_states = states_of[sharer]
-                        owner_state = owner_states[owner_frame]
-                        if owner_state >= state_e:
-                            if track:
-                                sharer_core = core_of[sharer]
-                                n_fwd += 1
-                                hops_acc += hop_table[home][sharer_core]
-                                bytes_acc += fwd_bytes
-                                if owner_state == state_m:
-                                    n_putM += 1
-                                    hops_acc += hop_table[sharer_core][home]
-                                    bytes_acc += putm_bytes
-                            owner_states[owner_frame] = state_s
+                    # MESI invariant: an M/E owner holds the block
+                    # exclusively, so a downgrade is only possible when
+                    # exactly one prior sharer remains — the multi-sharer
+                    # scan would find only S copies.
+                    if remaining and not (remaining & (remaining - 1)):
+                        sharer = remaining.bit_length() - 1
+                        owner_frame = locations_get[sharer](block)
+                        if owner_frame is not None:
+                            owner_states = states_of[sharer]
+                            owner_state = owner_states[owner_frame]
+                            if owner_state >= state_e:
+                                if track:
+                                    sharer_core = core_of[sharer]
+                                    n_fwd += 1
+                                    hops_acc += hop_table[home][sharer_core]
+                                    bytes_acc += fwd_bytes
+                                    if owner_state == state_m:
+                                        n_putM += 1
+                                        hops_acc += hop_table[sharer_core][home]
+                                        bytes_acc += putm_bytes
+                                owner_states[owner_frame] = state_s
                     new_state = state_s
                 else:
-                    insert_new(home, local_addr, 1 << cache_id, None)
+                    # Directory miss on a read: allocate the entry with this
+                    # cache as the sole (Exclusive) sharer, using the
+                    # pre-pass candidate row.
+                    pool = d_pool[home]
+                    if pool:
+                        sharer_set = pool.pop()
+                    else:
+                        sharer_set = bitvec_cls(num_tracked)
+                    sharer_set._mask = 1 << cache_id
+                    forced = d_ins[home](local_addr, sharer_set, row)
+                    if forced is None:
+                        a_i1[home] += 1
+                    else:
+                        insert_forced(home, forced)
                     new_state = state_e
                 fill_dirty = False
-            if track:
-                n_data += 1
-                hops_acc += hop_table[home][core]
-                bytes_acc += data_bytes
-            if kern_alive is not None:
-                mask = (
-                    kern_alive
-                    & (kern_cache == cache_id)
-                    & (kern_set == set_index)
-                    & (kern_pos > pos)
-                )
-                if mask.any():
-                    rollback(mask)
-            base = set_index * num_ways
+
+            # Inline fill: the exact-stamp twin of fill_miss_code.
+            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
             if counts[set_index] < num_ways:
                 frame = tags.index(-1, base, base + num_ways)
                 counts[set_index] += 1
             else:
                 if num_ways == 2:
-                    frame = (
-                        base if stamps[base] <= stamps[base + 1] else base + 1
-                    )
+                    frame = base if stamps[base] <= stamps[base + 1] else base + 1
                 else:
-                    row = stamps[base : base + num_ways]
-                    frame = base + row.index(min(row))
+                    set_stamps = stamps[base : base + num_ways]
+                    frame = base + set_stamps.index(min(set_stamps))
                 victim = tags[frame]
                 victim_dirty = dirty[frame]
                 evict_delta[cache_id] += 1
@@ -1976,13 +969,14 @@ class TiledCMP:
                 del location[victim]
                 victim_home = victim % num_slices
                 if track:
-                    hops_acc += hop_row[victim_home]
+                    hops_acc += hop_rows[cache_id][victim_home]
                     if victim_dirty:
                         n_putM += 1
                         bytes_acc += putm_bytes
                     else:
                         n_putS += 1
                         bytes_acc += puts_bytes
+                # Inlined remove_sharer (evict notify).
                 victim_local = victim // num_slices
                 loc = d_loc_get[victim_home](victim_local)
                 if loc is not None:
@@ -2003,215 +997,10 @@ class TiledCMP:
             stamps[frame] = stamp
             location[block] = frame
 
-        # -- the protocol loop (trace order; re-injections spliced in) -----
-        # Direct unpacking in the for header keeps the result tuple's
-        # refcount at one so zip can recycle it instead of allocating a
-        # fresh 11-tuple per access.
-        for (
-            pos, block, local_addr, home, cache_id, is_write,
-            set_index, base, stamp, hsum, row,
-        ) in zip(dp, db, dl, dh, dc, dw, ds, dbase, dst, h_sum, cand_rows):
-            if pending:
-                cur = pos
-                while pending and pending[0][0] < cur:
-                    process_one(pending.pop(0))
-                pos = cur
-            frame = locations_get[cache_id](block)
-            if frame is None:
-                # Miss (the common case): queue the bank event, run the
-                # directory protocol, fill inline.  Traffic and lookup
-                # counts are covered by the all-miss baseline.
-                if use_banks:
-                    ev_app[home](block << 1 | is_write)
-                if is_write:
-                    # Inlined acquire_excl: insertion of an absent entry,
-                    # or the writer's bit plus the invalidation fan-out.
-                    wbit = 1 << cache_id
-                    loc = d_loc_get[home](local_addr)
-                    if loc is None:
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = bitvec_cls(num_tracked)
-                        sharer_set._mask = wbit
-                        forced = d_ins[home](local_addr, sharer_set, row)
-                        if forced is None:
-                            a_i1[home] += 1
-                        else:
-                            insert_forced(home, forced)
-                    else:
-                        a_lh[home] += 1
-                        way, idx = loc
-                        if d_stamps[home] is not None:
-                            d_stamps[home][way][idx] = d_tick[home]()
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        others = prior & ~wbit
-                        if not others:
-                            sharer_set._mask = prior | wbit
-                        else:
-                            sharer_set._mask = wbit
-                            a_io[home] += 1
-                            a_sr[home] += bin(others).count("1")
-                            while others:
-                                low = others & -others
-                                others -= low
-                                sharer = low.bit_length() - 1
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_inv += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += inv_bytes
-                                    n_ack += 1
-                                    hops_acc += hop_table[sharer_core][home]
-                                    bytes_acc += ack_bytes
-                                tracked[sharer].invalidate(block)
-                    new_state = state_m
-                    fill_dirty = True
-                else:
-                    loc = d_loc_get[home](local_addr)
-                    if loc is not None:
-                        # Directory hit: add the sharer bit, downgrade any
-                        # M/E owner among the prior sharers.
-                        n_rdh += 1
-                        a_lh[home] += 1
-                        way, idx = loc
-                        if d_stamps[home] is not None:
-                            d_stamps[home][way][idx] = d_tick[home]()
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        wbit = 1 << cache_id
-                        sharer_set._mask = prior | wbit
-                        remaining = prior & ~wbit
-                        # MESI invariant: an M/E owner holds the block
-                        # exclusively, so a downgrade is only possible
-                        # when exactly one prior sharer remains — the
-                        # multi-sharer scan would find only S copies.
-                        if remaining and not (remaining & (remaining - 1)):
-                            sharer = remaining.bit_length() - 1
-                            owner_frame = locations_get[sharer](block)
-                            if owner_frame is not None:
-                                owner_states = states_of[sharer]
-                                owner_state = owner_states[owner_frame]
-                                if owner_state >= state_e:
-                                    if track:
-                                        sharer_core = core_of[sharer]
-                                        n_fwd += 1
-                                        hops_acc += hop_table[home][sharer_core]
-                                        bytes_acc += fwd_bytes
-                                        if owner_state == state_m:
-                                            n_putM += 1
-                                            hops_acc += hop_table[sharer_core][home]
-                                            bytes_acc += putm_bytes
-                                    owner_states[owner_frame] = state_s
-                        new_state = state_s
-                    else:
-                        # Directory miss on a read: allocate the entry with
-                        # this cache as the sole (Exclusive) sharer, using
-                        # the pre-pass candidate row.
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = bitvec_cls(num_tracked)
-                        sharer_set._mask = 1 << cache_id
-                        forced = d_ins[home](local_addr, sharer_set, row)
-                        if forced is None:
-                            a_i1[home] += 1
-                        else:
-                            insert_forced(home, forced)
-                        new_state = state_e
-                    fill_dirty = False
-
-                # Inline fill: the exact-stamp twin of fill_miss_code.
-                location, tags, states, dirty, stamps, counts = cache_arrs[
-                    cache_id
-                ]
-                if counts[set_index] < num_ways:
-                    frame = tags.index(-1, base, base + num_ways)
-                    counts[set_index] += 1
-                else:
-                    if num_ways == 2:
-                        frame = (
-                            base
-                            if stamps[base] <= stamps[base + 1]
-                            else base + 1
-                        )
-                    else:
-                        row = stamps[base : base + num_ways]
-                        frame = base + row.index(min(row))
-                    victim = tags[frame]
-                    victim_dirty = dirty[frame]
-                    evict_delta[cache_id] += 1
-                    if victim_dirty:
-                        dirty_evict_delta[cache_id] += 1
-                    del location[victim]
-                    victim_home = victim % num_slices
-                    if track:
-                        hops_acc += hop_rows[cache_id][victim_home]
-                        if victim_dirty:
-                            n_putM += 1
-                            bytes_acc += putm_bytes
-                        else:
-                            n_putS += 1
-                            bytes_acc += puts_bytes
-                    # Inlined remove_sharer (evict notify).
-                    victim_local = victim // num_slices
-                    loc = d_loc_get[victim_home](victim_local)
-                    if loc is not None:
-                        way, idx = loc
-                        sharer_set = d_val[victim_home][way][idx]
-                        remaining = sharer_set._mask & ~(1 << cache_id)
-                        sharer_set._mask = remaining
-                        a_sr[victim_home] += 1
-                        if not remaining:
-                            del d_loc[victim_home][victim_local]
-                            d_keys[victim_home][way][idx] = -1
-                            d_val[victim_home][way][idx] = None
-                            a_er[victim_home] += 1
-                            d_pool[victim_home].append(sharer_set)
-                tags[frame] = block
-                states[frame] = new_state
-                dirty[frame] = fill_dirty
-                stamps[frame] = stamp
-                location[block] = frame
-                continue
-
-            # Hit (dragged in by a conflict): stamp recency, correct the
-            # all-miss baselines, run any write-upgrade protocol.
-            hit_delta[cache_id] += 1
-            miss_delta[cache_id] -= 1
-            stamps_of[cache_id][frame] = stamp
-            if is_write:
-                dirty_of[cache_id][frame] = True
-                states = states_of[cache_id]
-                state = states[frame]
-                if state == state_m:
-                    cw += 1
-                    a_lk[home] -= 1
-                    hops_corr += hsum
-                elif state == state_e:
-                    # Silent E -> M upgrade; no directory traffic.
-                    cw += 1
-                    a_lk[home] -= 1
-                    hops_corr += hsum
-                    states[frame] = state_m
-                else:
-                    # S -> M: GET_M is sent (the baseline request hop
-                    # stands) but no DATA comes back.
-                    s_up += 1
-                    hops_corr += hop_table[home][core_of[cache_id]]
-                    acquire_excl(
-                        local_addr, home, block, cache_id, False, row
-                    )
-                    states[frame] = state_m
-            else:
-                rh += 1
-                a_lk[home] -= 1
-                hops_corr += hsum
-        while pending:
-            process_one(pending.pop(0))
+        # Settle the per-cache clocks once for the whole slice (stamps were
+        # written as precomputed values, never via clock increments).
+        for cache, advance in zip(tracked, cache_counts.tolist()):
+            cache.advance_clock(advance)
 
         # -- bank replay: the decoupled shared-L2 model, one independent
         # pass per bank with its arrays bound once -------------------------
@@ -2267,6 +1056,24 @@ class TiledCMP:
                 stats.dirty_evictions += b_dirty_evicts
 
         # -- flush: baselines minus corrections, plus the live counters ----
+        # A silent hit takes back its lookup, request, response and DATA
+        # from the all-miss baselines; an S->M upgrade keeps its lookup and
+        # request but takes back the response and DATA.
+        outcome_a = np.frombuffer(outcome, dtype=np.uint8)
+        silent = outcome_a == _HIT_SILENT
+        upgrade = outcome_a == _HIT_UPGRADE
+        hit_counts = np.bincount(caches_a[outcome_a != 0], minlength=num_tracked)
+        hit_delta = hit_counts.tolist()
+        miss_delta = (cache_counts - hit_counts).tolist()
+        a_lk = (
+            np.bincount(homes_a, minlength=num_homes)
+            - np.bincount(homes_a[silent], minlength=num_homes)
+        ).tolist()
+        cw = int(np.count_nonzero(silent & writes_a))
+        rh = int(np.count_nonzero(silent)) - cw
+        s_up = int(np.count_nonzero(upgrade))
+        writes_total = int(np.count_nonzero(writes_a))
+        reads_total = count - writes_total
         for cache_id in range(num_tracked):
             if hit_delta[cache_id] or miss_delta[cache_id] or evict_delta[cache_id]:
                 stats = tracked[cache_id]._stats
@@ -2299,14 +1106,14 @@ class TiledCMP:
                     stats.insertion_attempts += i1
                     stats.attempt_histogram[1] += i1
         if track:
-            n_getS += reads_total - rh
-            n_getM += writes_total - cw
-            n_data += count - rh - cw - s_up
-            hops_acc += hops_base - hops_corr
+            n_getS = reads_total - rh
+            n_getM = writes_total - cw
+            n_data = count - rh - cw - s_up
+            hops_acc += int(h_req_a[~silent].sum()) + int(
+                h_rsp_a[outcome_a == 0].sum()
+            )
             bytes_acc += (
-                (reads_total - rh) * gets_bytes
-                + (writes_total - cw) * getm_bytes
-                + (count - rh - cw - s_up) * data_bytes
+                n_getS * gets_bytes + n_getM * getm_bytes + n_data * data_bytes
             )
             if n_getS:
                 messages[_GET_SHARED] += n_getS
@@ -2326,21 +1133,23 @@ class TiledCMP:
                 messages[_FWD_GET] += n_fwd
             traffic.hops += hops_acc
             traffic.bytes_transferred += bytes_acc
-        if rollback_total:
-            _BATCH_ROLLBACKS.add(rollback_total)
         _DRAIN_VECTOR.add(count)
-        _DRAIN_CLS_HITS.add(rh + cw + p1_hit)
-        _DRAIN_CLS_UPGRADES.add(s_up + p1_up)
+        _DRAIN_CLS_HITS.add(rh + cw)
+        _DRAIN_CLS_UPGRADES.add(s_up)
         _DRAIN_CLS_READ_DIRHIT.add(n_rdh)
-        _DRAIN_CLS_READ_INSERT.add(reads_total - rh + p1_rm - n_rdh)
-        _DRAIN_CLS_WRITE_MISS.add(writes_total - cw - s_up + p1_wm)
+        _DRAIN_CLS_READ_INSERT.add(reads_total - rh - n_rdh)
+        _DRAIN_CLS_WRITE_MISS.add(writes_total - cw - s_up)
         _DRAIN_CLS_WALKS.add(n_walk)
-        if n_reinj:
-            _DRAIN_REINJECTED.add(n_reinj)
+
     def _access_block(
         self, block: int, local: int, home: int, cache_id: int, is_write: bool
     ) -> None:
-        """Execute one access whose address math is already resolved."""
+        """Execute one access whose address math is already resolved.
+
+        With the handlers below this is the reference protocol: the
+        vectorized drain must match it bit for bit, and systems the drain
+        refuses run it per access.
+        """
         cache = self._tracked[cache_id]
         state = cache.touch_code(block, is_write)
         if state >= 0:

@@ -213,16 +213,16 @@ class DirectoryStats:
 
 
 class DrainHandles(NamedTuple):
-    """A directory's live state, exposed to the batched miss drain.
+    """A directory's live state, exposed to the vectorized drain.
 
-    The drain (``TiledCMP._drain_batch_vector`` and the inlined path of
-    ``TiledCMP._drain_batch``) runs the common directory operations —
-    probe, sharer-mask OR/clear, entry removal — inline over these
-    structures and flushes the statistics once per chunk; only insertion
-    goes back to the organization.  Every organization that returns
-    handles stores :class:`~repro.directories.sharers.FullBitVector`
-    sharer sets and keeps its entries in ``keys[row][col]`` /
-    ``values[row][col]`` slots (``-1`` / ``None`` when vacant).
+    The drain (``TiledCMP._drain_batch_vector``) runs the common
+    directory operations — probe, sharer-mask OR/clear, entry removal —
+    inline over these structures and flushes the statistics once per
+    slice; only insertion goes back to the organization.  Every
+    organization that returns handles stores
+    :class:`~repro.directories.sharers.FullBitVector` sharer sets and
+    keeps its entries in ``keys[row][col]`` / ``values[row][col]`` slots
+    (``-1`` / ``None`` when vacant).
     """
 
     #: Slice-local address -> ``(row, col)`` slot of its live entry.

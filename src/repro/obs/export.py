@@ -7,7 +7,7 @@ and what EXPERIMENTS.md's dump-diffing workflow consumes::
       "schema": "repro-obs/1",
       "meta": {...},                # run id, argv, anything the caller adds
       "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-      "phases": {"batch_kernel": {"count": ..., "total_seconds": ...,
+      "phases": {"drain_vector": {"count": ..., "total_seconds": ...,
                                    "self_seconds": ...}, ...}
     }
 

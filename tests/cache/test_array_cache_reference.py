@@ -100,46 +100,3 @@ def test_array_cache_matches_dict_reference(size_bytes, ways, operations):
         for address in model.resident_addresses()
     }
     assert observed == reference.resident()
-
-
-@given(operations=_operations)
-@settings(max_examples=40, deadline=None)
-def test_touch_repeats_equals_repeated_touches(operations):
-    """The run-length fast path's counter fold must equal N plain touches."""
-    config = CacheConfig(size_bytes=1024, associativity=2)
-    folded = SetAssociativeCache(config)
-    plain = SetAssociativeCache(config)
-    for kind, address, payload in operations:
-        _apply_simple(folded, plain, kind, address, payload)
-
-
-def _apply_simple(folded, plain, kind, address, payload):
-    if kind == "fill":
-        state_code = STATE_TO_CODE[_VALID_STATES[payload % len(_VALID_STATES)]]
-        folded.fill_code(address, state_code, payload % 2 == 1)
-        plain.fill_code(address, state_code, payload % 2 == 1)
-        return
-    if kind == "invalidate":
-        folded.invalidate(address)
-        plain.invalidate(address)
-        return
-    # Any touch kind: run it as a fold on one model, as repeats on the other.
-    repeats = payload + 1
-    state = folded.state_code_of(address)
-    if state == 0:
-        return  # touch_repeats requires residency
-    writable = state == STATE_TO_CODE[CoherenceState.MODIFIED]
-    write = kind == "touch_w" and writable
-    if write or kind == "touch_r":
-        # First touch the plain model `repeats` times...
-        for _ in range(repeats):
-            assert plain.touch(address, write=write)
-        # ...then fold the same repeats on the other model.
-        folded.touch_repeats(address, repeats)
-        assert folded.stats.hits == plain.stats.hits
-        assert folded.stats.accesses == plain.stats.accesses
-        # Recency parity: fill a conflicting block and compare victims.
-        conflict_a = address + 16 * folded.num_sets
-        assert (
-            folded.fill_code(conflict_a) == plain.fill_code(conflict_a)
-        )

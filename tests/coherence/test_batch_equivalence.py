@@ -1,21 +1,28 @@
-"""The batched front-end must be bit-identical to the scalar access path.
+"""The batched front-end must be bit-identical to the reference path.
 
 ``TiledCMP.access_batch`` vectorises per-access address math, hoists the
-core bounds check to chunk level, and collapses same-cache/same-block runs
-into counter bumps.  None of that may change a single statistic: these
-tests replay identical access streams through ``access()`` (scalar) and
-``access_batch`` (with adversarial chunk boundaries and run-heavy
-patterns) and require equal directory stats, cache stats, traffic and
-residency; plus the batched page translation against its scalar twin.
+core bounds check to chunk level, and runs the slice through the
+vectorized drain.  None of that may change a single statistic: these
+tests replay identical access streams through ``access_scalar`` (the
+reference, one access at a time) and ``access_batch`` (with adversarial
+chunk boundaries and run-heavy patterns) and require equal directory
+stats, cache stats, traffic and residency; plus the batched page
+translation against its scalar twin.
+
+The helpers here (reference/batched runners, the public snapshot and the
+per-organization deep directory state) are shared by the other
+bit-identity suites in this directory.
 """
 
 import numpy as np
 import pytest
 
 from repro.coherence.paging import PageMapper
-from repro.coherence.system import MemoryAccess, TiledCMP
+from repro.coherence.system import TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
 from repro.core.cuckoo_directory import CuckooDirectory
+from repro.core.stashed_cuckoo import StashedCuckooDirectory
+from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
 
 
@@ -43,9 +50,10 @@ def _make_system(config, factory=_cuckoo_factory):
     return TiledCMP(config, factory, page_mapper=PageMapper(page_bytes=256, seed=0))
 
 
-def _run_scalar(system, accesses):
+def _run_reference(system, accesses):
+    """One ``access_scalar`` call per access: the reference protocol."""
     for core, address, is_write, is_instr in accesses:
-        system.access(MemoryAccess(core, address, is_write, is_instr))
+        system.access_scalar(core, address, is_write, is_instr)
 
 
 def _run_batched(system, accesses, chunk_size):
@@ -99,7 +107,82 @@ def _snapshot(system):
             sorted((a, c.state_of(a).value, c.probe(a).dirty) for a in c.resident_addresses())
             for c in system.tracked_caches
         ],
+        # Frame placement and recency: the flat arrays themselves, the
+        # LRU stamps and each clock (which orders every later victim).
+        "frames": [
+            (
+                list(c._tags), list(c._states), list(c._dirty),
+                list(c._stamps), list(c._set_counts), c._clock,
+            )
+            for c in (*system.tracked_caches, *(system.l2_banks or ()))
+        ],
     }
+
+
+def _sharer_state(sharers):
+    if sharers is None:
+        return None
+    mask = getattr(sharers, "_mask", None)
+    return mask if mask is not None else tuple(sorted(sharers))
+
+
+def _deep_directory_state(system):
+    """Every slice's internal state, down to slot positions and recency.
+
+    Cuckoo (and the stashed variant): way arrays, locator, occupancy and
+    the insertion start-way cursor, plus the stash.  Set-associative
+    (sparse, in-cache): slot arrays, LRU stamps, locator, the sharer-set
+    pool and the recency clock.  Skewed: every way's entries with their
+    stamps, and the clock.
+    """
+    out = []
+    for directory in system._directories:
+        if isinstance(directory, CuckooDirectory):
+            table = directory._table
+            state = (
+                [list(way_keys) for way_keys in table._keys],
+                [
+                    [_sharer_state(v) for v in way_values]
+                    for way_values in table._values
+                ],
+                dict(table._locator),
+                len(table),
+                table._start_way,
+            )
+            if isinstance(directory, StashedCuckooDirectory):
+                state += (
+                    [(a, _sharer_state(v)) for a, v in directory._stash.items()],
+                )
+        elif isinstance(directory, SparseDirectory):
+            state = (
+                [list(keys) for keys in directory._keys],
+                [
+                    [_sharer_state(value) for value in values]
+                    for values in directory._values
+                ],
+                [list(stamps) for stamps in directory._stamps],
+                dict(directory._locator),
+                len(directory._sharer_pool),
+                repr(directory._tick.__self__),  # the clock's next stamp
+            )
+        elif isinstance(directory, SkewedDirectory):
+            state = (
+                [
+                    [
+                        None if entry is None
+                        else (entry.address, _sharer_state(entry.sharers),
+                              entry.stamp)
+                        for entry in way
+                    ]
+                    for way in directory._ways
+                ],
+                directory._live_entries,
+                directory._clock,
+            )
+        else:
+            raise TypeError(f"no deep state for {type(directory).__name__}")
+        out.append(state)
+    return out
 
 
 def _run_heavy_stream(num_cores=4):
@@ -134,20 +217,23 @@ def _run_heavy_stream(num_cores=4):
 @pytest.mark.parametrize("chunk_size", [1, 3, 17, 4096])
 def test_batched_equals_scalar_on_run_heavy_stream(level, chunk_size):
     accesses = _run_heavy_stream()
-    scalar = _make_system(_config(level))
+    reference = _make_system(_config(level))
     batched = _make_system(_config(level))
-    _run_scalar(scalar, accesses)
+    _run_reference(reference, accesses)
     _run_batched(batched, accesses, chunk_size)
-    assert _snapshot(batched) == _snapshot(scalar)
+    assert _snapshot(batched) == _snapshot(reference)
+    assert _deep_directory_state(batched) == _deep_directory_state(reference)
 
 
 def test_batched_equals_scalar_under_forced_invalidations():
     accesses = _run_heavy_stream()
-    scalar = _make_system(_config(), _sparse_factory)
+    reference = _make_system(_config(), _sparse_factory)
     batched = _make_system(_config(), _sparse_factory)
-    _run_scalar(scalar, accesses)
+    _run_reference(reference, accesses)
     _run_batched(batched, accesses, 13)
-    assert _snapshot(batched) == _snapshot(scalar)
+    assert reference.directory_stats().forced_invalidations > 0
+    assert _snapshot(batched) == _snapshot(reference)
+    assert _deep_directory_state(batched) == _deep_directory_state(reference)
 
 
 def test_batched_accepts_numpy_and_list_chunks_identically():

@@ -53,12 +53,10 @@ class TestMetricsOut:
         assert counters["sim.run.measured_accesses"] == 1500
         assert counters["sim.batch.chunks"] >= 1
         assert counters["store.puts"] == 1
-        # The batch front-end phase depends on which kernel ran: the
-        # scalar loop traces "batch_kernel", the whole-chunk kernel
-        # traces "hit_kernel" (+ "drain_vector"/"drain_scalar" when
-        # anything drains).
+        # Every batch slice traces "translate", then the vectorized drain
+        # ("drain_vector": the swept cuckoo point has drain handles).
         phases = document["phases"]
-        assert "batch_kernel" in phases or "hit_kernel" in phases
+        assert "drain_vector" in phases
         assert "translate" in phases
         sweep = document["meta"]["sweep"]
         assert sweep["total"] == 1 and sweep["done"] == 1
@@ -77,7 +75,7 @@ class TestProgressOutput:
         # capsys streams are not TTYs, so the renderer emits plain lines.
         assert "1/1" in err
         assert "Phase breakdown" in err
-        assert "batch_kernel" in err or "hit_kernel" in err
+        assert "drain_vector" in err
 
     def test_quiet_suppresses_progress(self, capsys, store_path):
         assert main(_sweep_argv(store_path, "--quiet")) == 0

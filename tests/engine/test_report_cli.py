@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.engine.cli import main
-from repro.engine.store import ResultStore
+from repro.engine.segment import MANIFEST_NAME
+from repro.engine.store import ResultStore, segments_dir
 
 
 @pytest.fixture
@@ -115,6 +117,27 @@ class TestReport:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["workload"] == "Oracle"
+
+    def test_report_all_reads_pool_only_store(self, capsys, store_path):
+        # A pooled run into a fresh store leaves only per-worker WALs
+        # (<store>.segments/wal-w<pid>.jsonl): no main WAL, no manifest.
+        assert main([
+            "run", "fig08", "--workloads", "Oracle", "--scale", "64",
+            "--measure-accesses", "1500", "--store", store_path,
+            "--workers", "2", "--quiet",
+        ]) == 0
+        segdir = segments_dir(store_path)
+        assert not Path(store_path).exists()
+        assert not (segdir / MANIFEST_NAME).exists()
+        assert list(segdir.glob("wal-w*.jsonl"))
+        capsys.readouterr()
+        assert main([
+            "report", "--all", "--store", store_path, "--format", "json",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "no result store" not in captured.err
+        rows = json.loads(captured.out)["rows"]
+        assert sorted(row["tracked_level"] for row in rows) == ["L1", "L2"]
 
     def test_report_out_writes_file(self, capsys, store_path, tmp_path):
         options = _seed_fig08(store_path)

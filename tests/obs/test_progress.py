@@ -193,12 +193,11 @@ class TestPooledHeartbeats:
         measured = obs.REGISTRY.counter("sim.run.measured_accesses").value
         assert measured == 4 * 1_000
         phases = obs.TRACER.totals()
-        # Each run traces its batch front-end under "batch_kernel"
-        # (scalar loop) or "hit_kernel" (whole-chunk kernel), depending
-        # on which kernel the per-chunk heuristic picked.
+        # Each run traces its batch slices under "drain_vector" (the
+        # vectorized drain) or "drain_scalar" (the reference fallback).
         batch_spans = sum(
             phases[name]["count"]
-            for name in ("batch_kernel", "hit_kernel")
+            for name in ("drain_vector", "drain_scalar")
             if name in phases
         )
         assert batch_spans >= 4
