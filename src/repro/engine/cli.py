@@ -977,15 +977,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
-    from repro.traces import parse_mix
+    from repro.traces.mix import canonical_mix_spec, parse_mix
 
+    # Specs are keyed by their canonical form, so "08xApache+8xocean" and
+    # "8xApache+8xocean" name one simulation and share one store address.
     totals = {}
     fingerprints = {}
-    for mix_spec in args.mixes:
+    for given in args.mixes:
         try:
+            mix_spec = canonical_mix_spec(given)
             mix = parse_mix(mix_spec)
         except (ValueError, FileNotFoundError) as exc:
-            print(f"invalid mix {mix_spec!r}: {exc}", file=sys.stderr)
+            print(f"invalid mix {given!r}: {exc}", file=sys.stderr)
             return 2
         totals[mix_spec] = mix.total_cores
         fingerprints[mix_spec] = mix.trace_fingerprint()
@@ -1008,7 +1011,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
                     else DEFAULT_MEASURE_ACCESSES
                 ),
             )
-            for mix_spec in args.mixes
+            for mix_spec in totals
             for level in args.tracked_levels
             for organization in args.organizations
             for ways in args.ways

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -155,12 +154,9 @@ class RunSpec:
         if self.trace_fingerprint is not None and self.trace is None and self.mix is None:
             raise ValueError("trace_fingerprint requires a trace or mix field")
         if self.mix is not None:
-            for part in self.mix.split("+"):
-                if not re.match(r"^\d+x\S+$", part.strip()):
-                    raise ValueError(
-                        f"bad mix component {part.strip()!r} in {self.mix!r} "
-                        f"(expected '<cores>x<workload>', e.g. '8xApache+8xocean')"
-                    )
+            from repro.traces.mix import split_mix_spec
+
+            split_mix_spec(self.mix)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

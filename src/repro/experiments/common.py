@@ -197,8 +197,8 @@ def run_workload(
         occupancy_sample_interval=occupancy_sample_interval,
         timeline_interval=timeline_interval,
     )
-    # The chunked trace is access-for-access identical to workload.trace();
-    # it just skips building one MemoryAccess object per access.
+    # The chunk stream is the workload's one generation path; no
+    # MemoryAccess object is built.
     chunks = workload.trace_chunks(system_config, seed=seed)
     result = simulator.run_chunks(chunks, max_accesses=measure_accesses)
     frames_total = (

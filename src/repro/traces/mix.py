@@ -35,19 +35,24 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
 from repro.traces.replay import TraceReplayWorkload
 from repro.workloads.base import Workload, WorkloadCategory
 
-__all__ = ["PROGRAM_STRIDE_BITS", "MixWorkload", "parse_mix"]
+__all__ = [
+    "PROGRAM_STRIDE_BITS",
+    "MixWorkload",
+    "canonical_mix_spec",
+    "parse_mix",
+    "split_mix_spec",
+]
 
 #: Each program's virtual-address band is 2**42 bytes wide; with 48-bit
 #: physical addresses (Table 1) that allows 64 programs per mix, far more
 #: than one tile has core groups for.
 PROGRAM_STRIDE_BITS = 42
 
-_COMPONENT_PATTERN = re.compile(r"^(\d+)x(.+)$")
+_COMPONENT_PATTERN = re.compile(r"^(\d+)x(\S+)$")
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -242,9 +247,6 @@ class MixWorkload(Workload):
                 out_instrs[positions] = instrs
             yield (out_cores, out_addresses, out_writes, out_instrs)
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        return self._trace_via_chunks(system, seed)
-
     def core_group(self, index: int) -> Tuple[int, int]:
         """``[start, end)`` core range of component ``index``."""
         weights = [cores for _, cores in self._components]
@@ -270,6 +272,35 @@ class MixWorkload(Workload):
         return hashlib.sha256("+".join(parts).encode("utf-8")).hexdigest()
 
 
+def split_mix_spec(spec: str) -> List[Tuple[int, str]]:
+    """Split a mix spec into ``(cores, program)`` pairs.
+
+    The one mix grammar, shared by :func:`parse_mix` and
+    :class:`~repro.engine.spec.RunSpec`: ``+``-separated parts, each
+    ``<cores>x<program>`` with surrounding whitespace ignored.  An empty
+    part (``"8xApache+"``, ``"8xApache++8xocean"``) is an error.
+    """
+    parts = [part.strip() for part in spec.split("+")]
+    if not any(parts):
+        raise ValueError(f"empty mix spec {spec!r}")
+    components: List[Tuple[int, str]] = []
+    for part in parts:
+        match = _COMPONENT_PATTERN.match(part)
+        if match is None:
+            raise ValueError(
+                f"bad mix component {part!r} in {spec!r} (expected "
+                f"'<cores>x<workload>', e.g. '8xApache+8xocean')"
+            )
+        components.append((int(match.group(1)), match.group(2)))
+    return components
+
+
+def canonical_mix_spec(spec: str) -> str:
+    """The normal form of ``spec``: ``"08xApache + 8xocean"`` becomes
+    ``"8xApache+8xocean"``.  ``@path`` programs are kept verbatim."""
+    return "+".join(f"{cores}x{program}" for cores, program in split_mix_spec(spec))
+
+
 def parse_mix(
     spec: str,
     resolve: Optional[Callable[[str], Workload]] = None,
@@ -284,19 +315,8 @@ def parse_mix(
     if resolve is None:
         from repro.workloads.suite import get_workload as resolve
 
-    parts = [part.strip() for part in spec.split("+") if part.strip()]
-    if not parts:
-        raise ValueError(f"empty mix spec {spec!r}")
     components: List[Tuple[Workload, int]] = []
-    for part in parts:
-        match = _COMPONENT_PATTERN.match(part)
-        if match is None:
-            raise ValueError(
-                f"bad mix component {part!r} (expected '<cores>x<workload>', "
-                f"e.g. '8xApache+8xocean')"
-            )
-        cores = int(match.group(1))
-        name = match.group(2)
+    for cores, name in split_mix_spec(spec):
         if name.startswith("@"):
             workload: Workload = TraceReplayWorkload(name[1:])
         else:

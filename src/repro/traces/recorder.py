@@ -2,9 +2,9 @@
 
 :class:`TraceRecorder` wraps any :class:`~repro.workloads.base.Workload`'s
 ``trace_chunks`` stream and freezes its first ``num_accesses`` accesses
-into the :mod:`~repro.traces.format` container.  Because the chunked
-stream is, by contract, access-for-access identical to ``trace()``, a
-recording made once replays bit-identically through
+into the :mod:`~repro.traces.format` container.  Because every run
+consumes that same chunk stream, a recording made once replays
+bit-identically through
 :class:`~repro.coherence.simulator.TraceSimulator` — record the expensive
 generation once, then fan replays out across sweeps.
 """

@@ -17,7 +17,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Union
 
-from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
 from repro.traces.format import TraceFile, TraceHeader
 from repro.workloads.base import Workload, WorkloadCategory
@@ -90,9 +89,6 @@ class TraceReplayWorkload(Workload):
         """Stream the recorded accesses in chunks (finite, then exhausted)."""
         self._validate_system(system, seed)
         return self._trace.iter_chunks(chunk_size=chunk_size)
-
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        return self._trace_via_chunks(system, seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

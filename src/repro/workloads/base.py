@@ -98,7 +98,12 @@ class AddressSpaceLayout:
 
 
 class Workload(abc.ABC):
-    """A named, reproducible source of :class:`MemoryAccess` streams."""
+    """A named, reproducible source of access streams.
+
+    Subclasses implement one method, :meth:`trace_chunks`, which produces
+    the stream as numpy chunks; :meth:`trace` adapts it to per-access
+    :class:`MemoryAccess` objects.
+    """
 
     def __init__(self, name: str, category: WorkloadCategory) -> None:
         self._name = name
@@ -113,55 +118,31 @@ class Workload(abc.ABC):
         return self._category
 
     @abc.abstractmethod
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        """Yield an unbounded stream of accesses for ``system``.
-
-        The stream must be deterministic for a given ``(system, seed)``.
-        Callers bound it with the simulator's ``max_accesses``.
-        """
-
     def trace_chunks(
         self, system: SystemConfig, seed: int = 0, chunk_size: int = 4096
     ) -> Iterator[tuple]:
-        """Yield the same stream as :meth:`trace` in chunked form.
+        """Yield the access stream for ``system`` in chunks.
 
-        Each chunk is a tuple of parallel sequences ``(cores, addresses,
-        is_writes, is_instructions)`` consumed by
-        :meth:`~repro.coherence.simulator.TraceSimulator.run_chunks` via
-        the batched front-end (:meth:`~repro.coherence.system.TiledCMP.
-        access_batch`), which accepts numpy arrays and plain lists alike.
-        The default implementation batches :meth:`trace` into lists;
-        generators with a vectorisable structure (the synthetic
-        workloads, trace replays, mixes) override it to hand over whole
-        numpy chunks without building per-access objects.  The flattened
-        chunk stream is always access-for-access identical to
-        :meth:`trace` for the same ``(system, seed)``.
+        Each chunk is a tuple of equal-length numpy arrays ``(cores,
+        addresses, is_writes, is_instructions)``: integer cores and
+        addresses, boolean flags.  They feed
+        :meth:`~repro.coherence.simulator.TraceSimulator.run_chunks`
+        through the batched front-end
+        (:meth:`~repro.coherence.system.TiledCMP.access_batch`) without a
+        per-access object.  Chunk boundaries carry no meaning, so
+        ``chunk_size`` is a hint: generators whose RNG draw order fixes
+        their batch ignore it.  The stream must be deterministic for a
+        given ``(system, seed)``.  Generators never end (callers bound
+        them with the simulator's ``max_accesses``); a replayed recording
+        ends with the recording.
         """
-        cores: list = []
-        addresses: list = []
-        writes: list = []
-        instrs: list = []
-        for access in self.trace(system, seed):
-            cores.append(access.core)
-            addresses.append(access.address)
-            writes.append(access.is_write)
-            instrs.append(access.is_instruction)
-            if len(cores) >= chunk_size:
-                yield cores, addresses, writes, instrs
-                cores, addresses, writes, instrs = [], [], [], []
-        if cores:  # finite traces (tests) flush their tail chunk
-            yield cores, addresses, writes, instrs
 
-    def _trace_via_chunks(
-        self, system: SystemConfig, seed: int = 0
-    ) -> Iterator[MemoryAccess]:
-        """Adapt :meth:`trace_chunks` back into a per-access stream.
+    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
+        """The :meth:`trace_chunks` stream as :class:`MemoryAccess` objects.
 
-        The inverse of the default :meth:`trace_chunks`: chunk-native
-        workloads (the vectorised generators, trace replays, mixes)
-        implement ``trace`` by delegating here.  Chunk fields may be numpy
-        arrays; the int()/bool() coercions keep the yielded
-        :class:`MemoryAccess` objects on plain Python scalars.
+        An adapter for object-level callers (the per-access simulator
+        loop, tests); the int()/bool() coercions keep the yielded fields
+        plain Python scalars.
         """
         for cores, addresses, writes, instrs in self.trace_chunks(system, seed=seed):
             for core, address, is_write, is_instruction in zip(

@@ -19,6 +19,13 @@ structures rather than sampling from popularity distributions:
   aggregate cache capacity — keeps the private caches full of distinct
   blocks, which is exactly the "nearly 100 % unique private blocks"
   behaviour the paper highlights for ocean (Sections 5.2 and 5.4).
+
+Both generators are chunk-native: each :meth:`trace_chunks` step builds
+a whole slot array with numpy (an em3d batch of node updates, an ocean
+sweep row) instead of one :class:`~repro.coherence.system.MemoryAccess`
+per access.  The original per-access generators are kept in
+``tests/workloads/reference_generators.py`` as the oracle these streams
+must equal access for access.
 """
 
 from __future__ import annotations
@@ -27,11 +34,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
 from repro.workloads.base import AddressSpaceLayout, Workload, WorkloadCategory
 
 __all__ = ["Em3dWorkload", "OceanWorkload"]
+
+#: Node updates per em3d chunk; fixed because it sets the RNG draw order.
+_EM3D_BATCH = 1024
 
 
 class Em3dWorkload(Workload):
@@ -75,9 +84,22 @@ class Em3dWorkload(Workload):
         self.remote_fraction = remote_fraction
         self.values_per_block = values_per_block
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
+    def trace_chunks(
+        self, system: SystemConfig, seed: int = 0, chunk_size: int = _EM3D_BATCH
+    ) -> Iterator[tuple]:
+        """Yield one chunk per batch of 1024 node updates.
+
+        Each update reads ``degree`` neighbours and then writes the node
+        itself, so a chunk is a ``(1024, degree + 1)`` slot array
+        flattened row by row.  The RNG draws one array of each kind per
+        batch, in a fixed order, so ``chunk_size`` cannot move the batch
+        boundaries and is ignored.
+        """
+        del chunk_size  # draw-order stability requires the historical batch
         rng = np.random.default_rng(seed)
         block_bytes = system.block_bytes
+        num_cores = system.num_cores
+        degree = self.degree
         # Each core owns a contiguous partition of node blocks.
         blocks_per_core = max(
             1,
@@ -85,40 +107,38 @@ class Em3dWorkload(Workload):
         )
         nodes_per_core = blocks_per_core * self.values_per_block
         layout = AddressSpaceLayout(block_bytes)
-        partition_bases = [
-            layout.allocate(blocks_per_core) for _ in range(system.num_cores)
-        ]
-        num_cores = system.num_cores
+        partition_bases = np.asarray(
+            [layout.allocate(blocks_per_core) for _ in range(num_cores)],
+            dtype=np.int64,
+        )
+        slot_writes = np.zeros((_EM3D_BATCH, degree + 1), dtype=np.bool_)
+        slot_writes[:, degree] = True  # the node write follows its reads
+        writes = slot_writes.ravel()
+        no_instrs = np.zeros(writes.size, dtype=np.bool_)
+        for shared in (writes, no_instrs):  # yielded by every chunk
+            shared.setflags(write=False)
 
-        def node_address(core: int, node_index: int) -> int:
-            block = node_index // self.values_per_block
-            return partition_bases[core] + block * block_bytes
-
-        batch = 1024
         while True:
-            cores = rng.integers(0, num_cores, size=batch)
-            nodes = rng.integers(0, nodes_per_core, size=batch)
-            remote_draws = rng.random((batch, self.degree))
-            remote_cores = rng.integers(0, num_cores, size=(batch, self.degree))
-            neighbour_nodes = rng.integers(0, nodes_per_core, size=(batch, self.degree))
-            for i in range(batch):
-                core = int(cores[i])
-                # Read the neighbours feeding this node.
-                for d in range(self.degree):
-                    owner = core
-                    if remote_draws[i, d] < self.remote_fraction:
-                        owner = int(remote_cores[i, d])
-                    yield MemoryAccess(
-                        core=core,
-                        address=node_address(owner, int(neighbour_nodes[i, d])),
-                        is_write=False,
-                    )
-                # Write the updated node value (always local).
-                yield MemoryAccess(
-                    core=core,
-                    address=node_address(core, int(nodes[i])),
-                    is_write=True,
-                )
+            cores = rng.integers(0, num_cores, size=_EM3D_BATCH)
+            nodes = rng.integers(0, nodes_per_core, size=_EM3D_BATCH)
+            remote_draws = rng.random((_EM3D_BATCH, degree))
+            remote_cores = rng.integers(0, num_cores, size=(_EM3D_BATCH, degree))
+            neighbour_nodes = rng.integers(
+                0, nodes_per_core, size=(_EM3D_BATCH, degree)
+            )
+            # Read the neighbours feeding each node, then write the node
+            # (always local).
+            owners = np.where(
+                remote_draws < self.remote_fraction, remote_cores, cores[:, None]
+            )
+            addresses = np.empty((_EM3D_BATCH, degree + 1), dtype=np.int64)
+            addresses[:, :degree] = partition_bases[owners] + (
+                neighbour_nodes // self.values_per_block
+            ) * block_bytes
+            addresses[:, degree] = partition_bases[cores] + (
+                nodes // self.values_per_block
+            ) * block_bytes
+            yield np.repeat(cores, degree + 1), addresses.ravel(), writes, no_instrs
 
 
 class OceanWorkload(Workload):
@@ -149,8 +169,18 @@ class OceanWorkload(Workload):
         self.points_per_block = points_per_block
         self.write_back_every_point = write_back_every_point
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
+    def trace_chunks(
+        self, system: SystemConfig, seed: int = 0, chunk_size: int = 4096
+    ) -> Iterator[tuple]:
+        """Yield one sweep row (every column of every core's band) per chunk.
+
+        The stream is a pure function of ``system``: ``seed`` is ignored,
+        and so is ``chunk_size``, since a row is the natural chunk and
+        keeps memory at O(one row).
+        """
+        del seed, chunk_size
         block_bytes = system.block_bytes
+        num_cores = system.num_cores
         blocks_per_band = max(
             2, int(self.grid_l2x * system.l2_config.num_frames)
         )
@@ -158,55 +188,60 @@ class OceanWorkload(Workload):
         # boundary rows a small fraction of the band, like a real 2-D grid.
         rows_per_band = max(2, int(np.sqrt(blocks_per_band)))
         blocks_per_row = max(1, blocks_per_band // rows_per_band)
-        layout = AddressSpaceLayout(block_bytes)
-        band_bases = [
-            layout.allocate(rows_per_band * blocks_per_row)
-            for _ in range(system.num_cores)
-        ]
-        num_cores = system.num_cores
+        # The bands are laid out back to back, so the whole grid is
+        # ``num_cores * rows_per_band`` rows of ``blocks_per_row`` blocks:
+        # the row north of a band's first row is the last row of core-1's
+        # band, and the row south of its last row is the first of core+1's.
+        grid_base = AddressSpaceLayout(block_bytes).allocate(
+            num_cores * rows_per_band * blocks_per_row
+        )
+        cores = np.arange(num_cores, dtype=np.int64)
+        columns = np.arange(blocks_per_row, dtype=np.int64)
+        band_row0 = (
+            cores[None, :] * (rows_per_band * blocks_per_row) + columns[:, None]
+        )
+        # Slots per (column, core): north, south, the point's read and its
+        # write-back.  Every core walks its band in lockstep, interleaved
+        # row by row, so the directory sees concurrent activity from all
+        # tiles, as it would in the parallel run.
+        slot_offsets = np.array(
+            [-blocks_per_row, blocks_per_row, 0, 0], dtype=np.int64
+        )
+        row0_addresses = grid_base + (
+            band_row0[:, :, None] + slot_offsets
+        ) * block_bytes
+        shape = row0_addresses.shape
+        slot_cores = np.broadcast_to(cores[None, :, None], shape)
+        slot_writes = np.broadcast_to(np.array([False, False, False, True]), shape)
+        keep = np.ones(shape, dtype=np.bool_)
+        keep[:, :, 3] = self.write_back_every_point
+        first_keep = keep.copy()
+        first_keep[:, 0, 0] = False  # in row 0, core 0 has no north
+        last_keep = keep.copy()
+        last_keep[:, -1, 1] = False  # in the last row, the last core has no south
 
-        def block_address(core: int, row: int, column: int) -> int:
-            return band_bases[core] + (row * blocks_per_row + column) * block_bytes
+        def compress(mask: np.ndarray) -> tuple:
+            fields = (
+                slot_cores[mask],
+                row0_addresses[mask],
+                slot_writes[mask],
+                np.zeros(int(mask.sum()), dtype=np.bool_),
+            )
+            for field in fields:  # yielded (or offset) by every row
+                field.setflags(write=False)
+            return fields
 
-        while True:
-            # One full relaxation sweep: every core walks its band in lockstep
-            # (interleaved here row by row so the directory sees concurrent
-            # activity from all tiles, as it would in the parallel run).
+        first_row, interior_row, last_row = (
+            compress(first_keep), compress(keep), compress(last_keep)
+        )
+        row_bytes = blocks_per_row * block_bytes
+        while True:  # one full relaxation sweep per pass
             for row in range(rows_per_band):
-                for column in range(blocks_per_row):
-                    for core in range(num_cores):
-                        # North neighbour: previous row, possibly owned by core-1.
-                        if row > 0:
-                            yield MemoryAccess(
-                                core=core,
-                                address=block_address(core, row - 1, column),
-                                is_write=False,
-                            )
-                        elif core > 0:
-                            yield MemoryAccess(
-                                core=core,
-                                address=block_address(
-                                    core - 1, rows_per_band - 1, column
-                                ),
-                                is_write=False,
-                            )
-                        # South neighbour: next row, possibly owned by core+1.
-                        if row < rows_per_band - 1:
-                            yield MemoryAccess(
-                                core=core,
-                                address=block_address(core, row + 1, column),
-                                is_write=False,
-                            )
-                        elif core < num_cores - 1:
-                            yield MemoryAccess(
-                                core=core,
-                                address=block_address(core + 1, 0, column),
-                                is_write=False,
-                            )
-                        # The point itself: read-modify-write.
-                        address = block_address(core, row, column)
-                        yield MemoryAccess(core=core, address=address, is_write=False)
-                        if self.write_back_every_point:
-                            yield MemoryAccess(
-                                core=core, address=address, is_write=True
-                            )
+                if row == 0:
+                    kept = first_row
+                elif row == rows_per_band - 1:
+                    kept = last_row
+                else:
+                    kept = interior_row
+                row_cores, addresses, writes, instrs = kept
+                yield row_cores, addresses + row * row_bytes, writes, instrs

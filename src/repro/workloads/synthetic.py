@@ -29,7 +29,6 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
 from repro.workloads.base import (
     AddressSpaceLayout,
@@ -162,9 +161,9 @@ class SyntheticWorkload(Workload):
 
         The RNG draw order is exactly that of the original per-access
         generator (one batch of each draw kind per chunk), so the flattened
-        stream is bit-identical to what :meth:`trace` has always produced;
-        only the per-access Python branching and object construction are
-        gone.  ``chunk_size`` is fixed at the generator's historical batch
+        stream is bit-identical to what it has always produced; only the
+        per-access Python branching and object construction are gone.
+        ``chunk_size`` is fixed at the generator's historical batch
         size to keep the draw boundaries — and therefore the stream —
         stable.
         """
@@ -212,9 +211,6 @@ class SyntheticWorkload(Workload):
             )
             yield (cores, addresses, writes, is_instr)
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        return self._trace_via_chunks(system, seed)
-
 
 class UniformRandomWorkload(Workload):
     """Uniform random accesses over a fixed footprint (stress/diagnostic).
@@ -253,6 +249,3 @@ class UniformRandomWorkload(Workload):
             offsets = rng.integers(0, self.footprint_blocks, size=_BATCH)
             writes = rng.random(_BATCH) < self.write_fraction
             yield (cores, base + offsets * block_bytes, writes, no_instrs)
-
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        return self._trace_via_chunks(system, seed)

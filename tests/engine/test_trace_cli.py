@@ -6,6 +6,12 @@ from repro.engine.cli import main
 from repro.engine.spec import RunSpec
 from repro.engine.store import ResultStore
 
+#: Store key of ``repro-run mix 8xApache+8xocean --tracked-levels L1
+#: --scale 64 --measure-accesses 800`` before mix specs were canonicalised.
+_MIX_KEY_8X_APACHE_8X_OCEAN = (
+    "befed9e169eebb93ae41111021a7992b980a1dc2f74fc9b180f54b2bb3497dac"
+)
+
 
 @pytest.fixture
 def store_path(tmp_path):
@@ -33,6 +39,11 @@ class TestSpecFields:
     def test_mix_grammar_is_validated(self):
         with pytest.raises(ValueError, match="bad mix component"):
             RunSpec(workload="x", mix="Apache+ocean")
+
+    @pytest.mark.parametrize("spec", ["8xApache+", "8xApache++8xocean", "  "])
+    def test_mix_empty_components_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad mix component|empty mix spec"):
+            RunSpec(workload="x", mix=spec)
 
     def test_trace_and_mix_change_the_key(self):
         base = RunSpec(workload="Oracle")
@@ -159,6 +170,30 @@ class TestMixVerb:
     def test_mix_bad_grammar(self, capsys):
         assert main(["mix", "Apache+ocean"]) == 2
         assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["8xApache+", "8xApache++8xocean", "+8xApache"])
+    def test_mix_empty_component_rejected_before_the_grid(self, spec, capsys):
+        # parse_mix and RunSpec share one grammar, so the CLI reports the
+        # empty part as an invalid mix instead of a spec error.
+        assert main(["mix", spec]) == 2
+        err = capsys.readouterr().err
+        assert "invalid mix" in err and "bad mix component ''" in err
+
+    def test_mix_spellings_share_one_store_key(self, store_path, capsys):
+        argv = [
+            "--tracked-levels", "L1",
+            "--scale", "64",
+            "--measure-accesses", "800",
+            "--store", store_path,
+            "--serial", "--quiet",
+        ]
+        assert main(["mix", "08xApache + 8xocean", *argv]) == 0
+        assert "0 hits / 1 misses" in capsys.readouterr().err
+        assert main(["mix", "8xApache+8xocean", *argv]) == 0
+        assert "1 hits / 0 misses" in capsys.readouterr().err
+        # The canonical spelling keeps the key it has always had, so stores
+        # written before canonicalisation keep hitting.
+        assert ResultStore(store_path).keys() == [_MIX_KEY_8X_APACHE_8X_OCEAN]
 
 
 class TestFriendlyErrors:

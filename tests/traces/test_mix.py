@@ -13,6 +13,7 @@ from repro.traces import (
     TraceReplayWorkload,
     parse_mix,
 )
+from repro.traces.mix import canonical_mix_spec
 from repro.workloads.suite import get_workload
 
 
@@ -50,6 +51,16 @@ class TestParsing:
             parse_mix("Apache+ocean")
         with pytest.raises(ValueError, match="empty"):
             parse_mix("  ")
+
+    @pytest.mark.parametrize("spec", ["8xApache+", "8xApache++8xocean", "+8xocean"])
+    def test_empty_component_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad mix component ''"):
+            parse_mix(spec)
+
+    def test_canonical_spec(self):
+        assert canonical_mix_spec("08xApache + 8xocean") == "8xApache+8xocean"
+        assert canonical_mix_spec("8xApache+8xocean") == "8xApache+8xocean"
+        assert canonical_mix_spec("4x@/tmp/a.npz+04xocean") == "4x@/tmp/a.npz+4xocean"
 
     def test_non_power_of_two_component_rejected(self):
         with pytest.raises(ValueError, match="powers of two"):

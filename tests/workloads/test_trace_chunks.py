@@ -1,23 +1,26 @@
-"""The chunked trace API must flatten to exactly the per-access stream.
+"""The chunked trace API: the one generation path, and its contract.
 
-``run_workload`` feeds :meth:`Workload.trace_chunks` into the simulator's
-chunked loop, so any divergence between ``trace()`` and ``trace_chunks()``
-would silently change every figure.  These tests pin the equivalence for
-the natively vectorized generators (synthetic, uniform) and the generic
-batching fallback (scientific), and check that the chunked simulator loop
-produces the same measurements as the per-access loop.
+Every workload produces its stream through :meth:`Workload.trace_chunks`;
+``trace()`` is only an adapter over it.  These tests pin the chunk stream
+of the scientific generators to their per-access reference generators
+(``reference_generators``), check that every producer hands over numpy
+chunks, and check that the chunked simulator loop produces the same
+measurements as the per-access loop.
 """
 
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from reference_generators import em3d_reference_trace, ocean_reference_trace
 from repro.config import CacheLevel
 from repro.coherence.simulator import TraceSimulator
 from repro.coherence.system import TiledCMP
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.experiments.common import scaled_system
-from repro.workloads.suite import get_workload
+from repro.traces import TraceRecorder, TraceReplayWorkload, parse_mix
+from repro.workloads.suite import WORKLOAD_NAMES, get_workload
 from repro.workloads.synthetic import UniformRandomWorkload
 
 
@@ -32,15 +35,26 @@ def _flatten(chunks, limit):
                 return
 
 
+#: Per-access oracles for the generators whose original per-access form
+#: lives on in the tests; the others are checked against the adapter.
+_REFERENCE = {"em3d": em3d_reference_trace, "ocean": ocean_reference_trace}
+
+
 @pytest.mark.parametrize("name", ["Oracle", "Qry2", "em3d", "ocean"])
 def test_trace_chunks_flatten_to_trace(name):
     system = scaled_system(CacheLevel.L1, scale=64)
     workload = get_workload(name)
     limit = 5000
     from_chunks = list(_flatten(workload.trace_chunks(system, seed=3), limit))
+    reference = _REFERENCE.get(name)
+    accesses = (
+        reference(workload, system, seed=3)
+        if reference is not None
+        else workload.trace(system, seed=3)
+    )
     from_stream = [
         (access.core, access.address, access.is_write, access.is_instruction)
-        for access in islice(workload.trace(system, seed=3), limit)
+        for access in islice(accesses, limit)
     ]
     assert from_chunks == from_stream
 
@@ -57,20 +71,38 @@ def test_uniform_workload_chunks_flatten_to_trace():
     assert from_chunks == from_stream
 
 
-def test_vectorised_chunk_fields_are_numpy_arrays():
-    """The batched front-end (``TiledCMP.access_batch``) consumes chunk
-    fields with vectorised address math; the natively vectorised generators
-    must hand over their arrays directly instead of paying a per-element
-    ``tolist`` round-trip the consumer would immediately undo."""
-    import numpy as np
+def _replay_workload(tmp_path):
+    system = scaled_system(CacheLevel.L1, num_cores=8, scale=64)
+    path = tmp_path / "Oracle.npz"
+    TraceRecorder().record(get_workload("Oracle"), system, path, 20_000, seed=0)
+    return TraceReplayWorkload(path), system
 
-    system = scaled_system(CacheLevel.L1, scale=64)
-    chunk = next(iter(get_workload("Oracle").trace_chunks(system, seed=0)))
-    cores, addresses, writes, instrs = chunk
-    assert isinstance(cores, np.ndarray) and cores.dtype.kind in "iu"
-    assert isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu"
-    assert isinstance(writes, np.ndarray) and writes.dtype == np.bool_
-    assert isinstance(instrs, np.ndarray) and instrs.dtype == np.bool_
+
+_PRODUCERS = [*WORKLOAD_NAMES, "uniform", "mix", "replay"]
+
+
+@pytest.mark.parametrize("producer", _PRODUCERS)
+def test_vectorised_chunk_fields_are_numpy_arrays(producer, tmp_path):
+    """The batched front-end (``TiledCMP.access_batch``) consumes chunk
+    fields with vectorised address math, so every producer must hand over
+    equal-length numpy arrays (never a Python list per chunk): integer
+    cores and addresses, boolean writes and instruction flags."""
+    system = scaled_system(CacheLevel.L1, num_cores=16, scale=64)
+    if producer == "uniform":
+        workload = UniformRandomWorkload(footprint_blocks=512)
+    elif producer == "mix":
+        workload = parse_mix("8xocean+8xem3d")
+    elif producer == "replay":
+        workload, system = _replay_workload(tmp_path)
+    else:
+        workload = get_workload(producer)
+    chunks = workload.trace_chunks(system, seed=0)
+    for cores, addresses, writes, instrs in islice(chunks, 3):
+        assert isinstance(cores, np.ndarray) and cores.dtype.kind in "iu"
+        assert isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu"
+        assert isinstance(writes, np.ndarray) and writes.dtype == np.bool_
+        assert isinstance(instrs, np.ndarray) and instrs.dtype == np.bool_
+        assert len(cores) == len(addresses) == len(writes) == len(instrs) > 0
 
 
 def test_trace_stream_yields_plain_python_scalars():
